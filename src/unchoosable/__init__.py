@@ -45,7 +45,6 @@ from .listcolor import (
     ListAssignment,
     SolveResult,
     check_coloring,
-    exhaustive_l_colorable,
     l_colorable,
 )
 from .construction import (
@@ -96,7 +95,6 @@ __all__ = [
     "color_pattern_classes",
     "complete_multipartite",
     "degeneracy",
-    "exhaustive_l_colorable",
     "gadget_blocked",
     "gadget_blocked_detail",
     "gadget_lists",

@@ -83,11 +83,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = params_for(args.case, args.t)
-    symmetry = None if args.symmetry is None else args.symmetry == "on"
     try:
-        cert = verify_construction(
-            params, mode=args.mode, symmetry=symmetry, jobs=args.jobs
-        )
+        cert = verify_construction(params, mode=args.mode)
     except ConstructionRefuted as exc:
         print(f"refuted: {exc}", file=sys.stderr)
         return 1
@@ -243,10 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, type=int)
     p.add_argument("--mode", choices=["direct", "compositional"],
                    default="compositional")
-    p.add_argument("--symmetry", choices=["on", "off"], default=None,
-                   help="pattern-class reduction (default: on for t >= 2)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers for gadget classes")
     p.add_argument("--cert", help="write the certificate here (JSON)")
 
     p = add("minor", _cmd_minor, help="exact clique-minor search")

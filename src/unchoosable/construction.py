@@ -20,15 +20,17 @@ Verification runs in two modes.  Direct mode materializes the graph and
 asks the solvers.  Compositional mode never builds the graph: it checks
 the gadget exhaustively for a K_p minor, checks the gluing set is a
 clique (so pasting cannot create new clique minors), and checks every
-color vector blocked, optionally collapsing vectors into equality
-pattern classes since blockedness only depends on which positions of c
-coincide.  Both modes emit JSON certificates.
+color vector blocked.  The lists are symmetric in the colors: a
+permutation of [1,q] that fixes q+1 maps the copy for c onto the copy
+for the permuted c, so one solver run on (1,...,r) decides all
+q!/(q-r)! repetition-free vectors, and every vector with a repeated
+entry is blocked vacuously.  Both modes emit JSON certificates.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -71,13 +73,15 @@ def params_for(case: str, t: int) -> ConstructionParams:
         raise InvalidArgumentError(f"scale t must be >= 1, got {t}")
     if case == "a":
         p, q, r, kind = 3 * t + 2, 4 * t, 2 * t + 1, "K_{rx2}"
-        assert (3 * r) // 2 + 1 == p
     elif case == "b":
         p, q, r, kind = 3 * t + 1, 4 * t - 2, 2 * t, "K_{rx2}"
-        assert (3 * r) // 2 + 1 == p
     else:
         p, q, r, kind = 3 * t, 4 * t - 3, 2 * t - 1, "K_{1,rx2}"
-        assert (3 * r) // 2 + 2 == p
+    # p sits one above the gadget's Hadwiger number floor(3r/2) (+1 apex)
+    if (3 * r) // 2 + 1 + (kind == "K_{1,rx2}") != p:
+        raise InvalidArgumentError(
+            f"row {case}{t}: p={p} is not one above the gadget's Hadwiger number"
+        )
     return ConstructionParams(case=case, t=t, p=p, q=q, r=r, gadget_kind=kind)
 
 
@@ -104,8 +108,13 @@ def gadget_template(params: ConstructionParams) -> GadgetTemplate:
         extra = 2 * params.r
     pairs = matching_pairs(g)
     roots = tuple(v for v, _ in pairs)
-    assert g.n == params.q + 2
-    assert g.is_clique(roots)
+    if g.n != params.q + 2:
+        raise InvalidArgumentError(
+            f"{params.gadget_kind} with r={params.r} has {g.n} vertices, "
+            f"the row needs q+2={params.q + 2}"
+        )
+    if not g.is_clique(roots):
+        raise ConstructionRefuted(f"gadget roots {roots} are not a clique")
     return GadgetTemplate(graph=g, pairs=pairs, root_clique=roots, extra=extra)
 
 
@@ -167,39 +176,30 @@ def gadget_blocked(params: ConstructionParams, c: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class PatternClass:
-    """Equality pattern of a color vector: a set partition of the r
-    positions, carried by its smallest-colors representative."""
+    """A set of color vectors decided together, carried by one
+    representative."""
 
     representative: tuple[int, ...]
     size: int
 
 
 def color_pattern_classes(params: ConstructionParams) -> list[PatternClass]:
-    """One representative per equality pattern, sizes summing to q^r.
+    """The two classes of [1,q]^r, sizes summing to q^r.
 
-    Patterns are restricted growth strings: position 0 gets color 1 and
-    each later position either reuses an earlier color or opens the next
-    one.  A pattern with k distinct colors covers q(q-1)...(q-k+1)
-    vectors; patterns needing more than q colors cover none and are
-    dropped."""
+    The q!/(q-r)! repetition-free vectors form one orbit under the color
+    permutations that fix q+1, represented by (1,...,r).  The remaining
+    vectors repeat a color on the pairwise adjacent roots and are
+    represented by (1,...,1); that class is empty, and left out, when
+    r = 1.  With fewer colors than roots (r > q) no vector is
+    repetition-free, and the first class is left out instead."""
     q, r = params.q, params.r
-    out: list[PatternClass] = []
-
-    def grow(rgs: list[int], used: int) -> None:
-        if len(rgs) == r:
-            if used <= q:
-                size = 1
-                for i in range(used):
-                    size *= q - i
-                out.append(PatternClass(tuple(rgs), size))
-            return
-        for k in range(1, used + 2):
-            rgs.append(k)
-            grow(rgs, max(used, k))
-            rgs.pop()
-
-    grow([], 0)
-    return out
+    proper = math.perm(q, r)
+    classes = []
+    if proper:
+        classes.append(PatternClass(tuple(range(1, r + 1)), proper))
+    if r > 1:
+        classes.append(PatternClass((1,) * r, q**r - proper))
+    return classes
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,11 @@ def build(
             rows.append(full)
     g = Graph.from_edges(stats.n_vertices, edges)
     la = ListAssignment.from_lists(q + 1, rows)
-    assert g.n == stats.n_vertices and g.m == stats.n_edges
+    if (g.n, g.m) != (stats.n_vertices, stats.n_edges):
+        raise ConstructionRefuted(
+            f"build made {g.n} vertices and {g.m} edges, the counts say "
+            f"{stats.n_vertices} and {stats.n_edges}"
+        )
     return g, la
 
 
@@ -371,28 +375,18 @@ def verify_minor_free(
     return cert
 
 
-def _class_entry(args: tuple[ConstructionParams, tuple[int, ...], int]) -> dict:
-    params, rep, size = args
-    detail = gadget_blocked_detail(params, rep)
-    detail["representative"] = detail.pop("vector")
-    detail["size"] = size
-    return detail
-
-
 def verify_not_colorable(
     params: ConstructionParams,
     mode: str = "compositional",
-    symmetry: bool | None = None,
-    jobs: int | None = None,
     built: tuple[Graph, ListAssignment] | None = None,
 ) -> dict:
     """Certify the pasted graph is not colorable from its lists.
 
     Compositional mode checks each color vector's own gadget copy
     blocked (every proper coloring of the roots is some vector, and that
-    vector's copy cannot be completed).  With symmetry on, one solver
-    run per equality pattern stands for its whole class.  Direct mode
-    builds the graph and runs the solver on all of it."""
+    vector's copy cannot be completed), one representative per class of
+    `color_pattern_classes`.  Direct mode builds the graph and runs the
+    solver on all of it."""
     if mode not in ("direct", "compositional"):
         raise InvalidArgumentError(f"unknown verification mode {mode!r}")
     q, r = params.q, params.r
@@ -417,34 +411,18 @@ def verify_not_colorable(
             "total_vectors": q**r,
         }
 
-    if symmetry is None:
-        symmetry = params.t >= 2
-    if symmetry:
-        classes = [
-            (c.representative, c.size) for c in color_pattern_classes(params)
-        ]
-    else:
-        classes = [
-            (vec, 1) for vec in itertools.product(range(1, q + 1), repeat=r)
-        ]
-    tasks = [(params, rep, size) for rep, size in classes]
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_class_entry, tasks, chunksize=16))
-    else:
-        entries = [_class_entry(task) for task in tasks]
-    for entry in entries:
+    entries = []
+    for cls in color_pattern_classes(params):
+        entry = gadget_blocked_detail(params, cls.representative)
         if not entry["blocked"]:
             raise ConstructionRefuted(
-                f"vector {tuple(entry['representative'])} admits a completion "
+                f"vector {cls.representative} admits a completion "
                 f"in case {params.case}, t={params.t}",
-                vector=tuple(entry["representative"]),
+                vector=cls.representative,
             )
-    covered = sum(e["size"] for e in entries)
-    if covered != q**r:
-        raise ConstructionRefuted(
-            f"pattern classes cover {covered} vectors, expected {q**r}"
-        )
+        entry["representative"] = entry.pop("vector")
+        entry["size"] = cls.size
+        entries.append(entry)
     return {
         "kind": "non-colorability",
         "case": params.case,
@@ -452,10 +430,9 @@ def verify_not_colorable(
         "q": q,
         "r": r,
         "mode": "compositional",
-        "symmetry": symmetry,
         "palette_size": q + 1,
         "classes": entries,
-        "covered": covered,
+        "covered": sum(e["size"] for e in entries),
         "total_vectors": q**r,
     }
 
@@ -474,8 +451,6 @@ def verify_degeneracy(params: ConstructionParams, built: Graph) -> dict:
 def verify_construction(
     params: ConstructionParams,
     mode: str = "compositional",
-    symmetry: bool | None = None,
-    jobs: int | None = None,
     vertex_cap: int = VERTEX_CAP,
 ) -> dict:
     """Full pipeline: minor-freeness plus non-colorability, bundled with
@@ -484,9 +459,7 @@ def verify_construction(
     built = build(params, vertex_cap=vertex_cap) if mode == "direct" else None
     g = built[0] if built else None
     minor_cert = verify_minor_free(params, built=g)
-    color_cert = verify_not_colorable(
-        params, mode=mode, symmetry=symmetry, jobs=jobs, built=built
-    )
+    color_cert = verify_not_colorable(params, mode=mode, built=built)
     stats = build_stats(params)
     bundle = {
         "kind": "construction-verified",
@@ -513,7 +486,8 @@ def lower_bound_table() -> dict[int, dict]:
         else:
             case, t = "a", (p - 2) // 3
         params = params_for(case, t)
-        assert params.p == p
+        if params.p != p:
+            raise ConstructionRefuted(f"row {case}{t} has p={params.p}, not {p}")
         rows[p] = {
             "p": p,
             "lower_bound": params.q + 1,

@@ -8,23 +8,16 @@ smallest remaining domain first, forward-checks neighbors, and splits
 the uncolored subgraph into connected components so independent parts
 never multiply.  All domain edits go through one global trail so a
 failing component rolls back its siblings' work too.
-
-`exhaustive_l_colorable` re-decides the same question by enumerating the
-full product of the lists; it exists to cross-check the solver and is
-capped, not clever.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
+from .errors import InvalidArgumentError, PreconditionError
 from .graphs import Graph, _bits
-
-EXHAUSTIVE_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -225,30 +218,6 @@ def l_colorable(
     if solve(live):
         return SolveResult(True, tuple(result), backtracks)
     return SolveResult(False, None, backtracks)
-
-
-def exhaustive_l_colorable(g: Graph, la: ListAssignment) -> SolveResult:
-    """Brute-force reference: try every member of the list product."""
-    if la.n != g.n:
-        raise InvalidArgumentError(
-            f"list assignment covers {la.n} vertices, graph has {g.n}"
-        )
-    total = 1
-    for row in la.lists:
-        total *= max(len(row), 1)
-        if total > EXHAUSTIVE_CAP:
-            raise ResourceLimitError(
-                f"list product exceeds the exhaustive cap of {EXHAUSTIVE_CAP}"
-            )
-    if any(not row for row in la.lists):
-        return SolveResult(False, None, 0)
-    edges = g.edges
-    tried = 0
-    for combo in itertools.product(*la.lists):
-        tried += 1
-        if all(combo[u] != combo[w] for u, w in edges):
-            return SolveResult(True, tuple(combo), tried - 1)
-    return SolveResult(False, None, tried)
 
 
 def read_list_assignment(path: str) -> ListAssignment:

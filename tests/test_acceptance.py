@@ -7,6 +7,7 @@ the earlier criteria emitted.
 
 import itertools
 import json
+import math
 import random
 import time
 
@@ -16,8 +17,7 @@ from unchoosable import (
     build,
     build_stats,
     check_certificate,
-    exhaustive_l_colorable,
-    gadget_blocked,
+    gadget_blocked_detail,
     hadwiger_number,
     has_clique_minor,
     k_1_r_times_2,
@@ -60,7 +60,7 @@ def test_criterion_1_case_b_t1_full_direct():
         assert not has_clique_minor(g, 4).contains
         assert all(len(row) == 2 for row in la.lists)
         assert not l_colorable(g, la).colorable
-        assert not exhaustive_l_colorable(g, la).colorable
+        assert not oracle_list_colorable(g, la.lists)
         _bundle("b1", "b", 1, "direct")
         assert time.monotonic() - t0 < 1.0
 
@@ -78,8 +78,8 @@ def test_criterion_2_case_a_t1_mixed():
         assert gadget_cert["n"] == 6 and gadget_cert["target"] == 5
         direct = l_colorable(g, la)
         assert not direct.colorable
-        comp = verify_not_colorable(pp, mode="compositional", symmetry=False)
-        assert len(comp["classes"]) == 64
+        comp = verify_not_colorable(pp, mode="compositional")
+        assert comp["covered"] == 64
         assert all(e["blocked"] for e in comp["classes"])
         assert time.monotonic() - t0 < 60.0
 
@@ -113,8 +113,15 @@ def test_criterion_4_t2_compositional_symmetry():
             pp = params_for(case, 2)
             bundle = _bundle(f"{case}2", case, 2, "compositional")
             color = bundle["children"][1]
-            assert color["symmetry"] is True
-            assert all(e["blocked"] for e in color["classes"])
+            proper = math.perm(pp.q, pp.r)
+            classes = [
+                (tuple(e["representative"]), e["size"], e["status"], e["blocked"])
+                for e in color["classes"]
+            ]
+            assert classes == [
+                (tuple(range(1, pp.r + 1)), proper, "blocked", True),
+                ((1,) * pp.r, pp.q**pp.r - proper, "improper-root", True),
+            ]
             assert color["covered"] == pp.q**pp.r
             stats = build_stats(pp)
             assert stats.n_vertices == pp.r + pp.q**pp.r * (pp.q + 2 - pp.r)
@@ -127,7 +134,7 @@ def test_criterion_4_t2_compositional_symmetry():
 
     _report(
         4,
-        "t=2 all cases: every pattern class blocked, counts match, "
+        "t=2 all cases: both color classes blocked, counts match, "
         "gadgets searched exhaustively",
         body,
     )
@@ -191,7 +198,6 @@ def test_criterion_7ii_solver_vs_exhaustive():
             la = ListAssignment.from_lists(palette, lists)
             want = oracle_list_colorable(g, lists)
             assert l_colorable(g, la).colorable == want
-            assert exhaustive_l_colorable(g, la).colorable == want
 
     _report(7, "(ii) 500 random coloring instances agree with the list product", body)
 
@@ -234,20 +240,19 @@ def test_criterion_7iv_minus_matching_exhaustive():
 
 def test_criterion_7v_symmetry_soundness():
     def body():
-        from unchoosable import color_pattern_classes
-
         rng = random.Random(2357)
         for _ in range(500):
             pp = params_for(rng.choice("abc"), rng.choice([1, 2]))
-            cls = rng.choice(color_pattern_classes(pp))
-            want = gadget_blocked(pp, cls.representative)
-            k = len(set(cls.representative))
-            for _ in range(3):
-                colors = rng.sample(range(1, pp.q + 1), k)
-                member = tuple(colors[x - 1] for x in cls.representative)
-                assert gadget_blocked(pp, member) == want
+            rep = tuple(range(1, pp.r + 1))
+            member = tuple(rng.sample(range(1, pp.q + 1), pp.r))
+            assert gadget_blocked_detail(pp, rep)["status"] == "blocked"
+            assert gadget_blocked_detail(pp, member)["status"] == "blocked"
 
-    _report(7, "(v) 500 pattern classes: members match their representative", body)
+    _report(
+        7,
+        "(v) 500 repetition-free vectors re-solve as blocked, like (1,...,r)",
+        body,
+    )
 
 
 def test_criterion_8_certificate_integrity():
@@ -276,7 +281,7 @@ def test_criterion_8_certificate_integrity():
         sets[0][0] = spare
         assert not check_certificate({"kind": "branch-set-positive", **doc}, g).ok
 
-        # mutation 2: drop one pattern class from a compositional cert
+        # mutation 2: drop one color class from a compositional cert
         cert = json.loads(json.dumps(_certs["a2"]))
         color = cert["children"][1]
         gone = color["classes"].pop()

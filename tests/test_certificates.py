@@ -20,6 +20,7 @@ def bundles():
         "c1": verify_construction(params_for("c", 1), mode="direct"),
         "a1": verify_construction(params_for("a", 1), mode="direct"),
         "a2": verify_construction(params_for("a", 2), mode="compositional"),
+        "b2": verify_construction(params_for("b", 2), mode="compositional"),
     }
 
 
@@ -69,7 +70,7 @@ def test_witness_t_mismatch_rejected():
 def test_dropped_class_rejected(bundles):
     cert = roundtrip(bundles["a2"])
     color = cert["children"][1]
-    removed = color["classes"].pop(3)
+    removed = color["classes"].pop(1)
     color["covered"] -= removed["size"]
     res = check_certificate(cert)
     assert not res.ok
@@ -80,6 +81,36 @@ def test_inflated_class_size_rejected(bundles):
     color = cert["children"][1]
     color["classes"][0]["size"] += 8
     color["covered"] += 8
+    assert not check_certificate(cert).ok
+
+
+def test_all_improper_classes_rejected(bundles):
+    # sizes still sum to q^r and each entry re-solves with its stated
+    # status, but the repetition-free vectors are never solved
+    cert = roundtrip(bundles["b2"])
+    color = cert["children"][1]
+    color["symmetry"] = False  # a stale field must not relax the check
+    q, r = color["q"], color["r"]
+    color["classes"] = [
+        {"representative": [c] * r, "status": "improper-root",
+         "blocked": True, "size": size}
+        for c, size in ((1, q**r - 1), (2, 1))
+    ]
+    assert not check_certificate(cert).ok
+
+
+def test_duplicated_class_rejected(bundles):
+    cert = roundtrip(bundles["b2"])
+    color = cert["children"][1]
+    color["symmetry"] = False
+    entries = color["classes"]
+    dup = next(e for e in entries if e["status"] == "blocked")
+    improper = max(
+        (e for e in entries if e["status"] == "improper-root"),
+        key=lambda e: e["size"],
+    )
+    improper["size"] -= dup["size"]
+    entries.append(dict(dup))
     assert not check_certificate(cert).ok
 
 
@@ -146,8 +177,7 @@ def test_malformed_payload_rejected(bundles):
 def test_standalone_certs_accepted():
     minor = verify_minor_free(params_for("b", 1))
     assert check_certificate(roundtrip(minor)).ok
-    color = verify_not_colorable(params_for("b", 1), mode="compositional",
-                                 symmetry=False)
+    color = verify_not_colorable(params_for("b", 1), mode="compositional")
     assert check_certificate(roundtrip(color)).ok
     direct = verify_not_colorable(params_for("b", 1), mode="direct")
     assert check_certificate(roundtrip(direct)).ok

@@ -80,20 +80,11 @@ def test_verify_direct_writes_certificate(tmp_path, capsys):
 
 def test_verify_compositional_with_jobs(capsys):
     code, out, _ = run(
-        ["verify", "--case", "c", "--t", "2", "--jobs", "2", "--json"], capsys
+        ["verify", "--case", "c", "--t", "2", "--json"], capsys
     )
     assert code == 0
     cert = json.loads(out)
     assert cert["children"][1]["covered"] == 125
-
-
-def test_verify_symmetry_off(capsys):
-    code, out, _ = run(
-        ["verify", "--case", "b", "--t", "1", "--symmetry", "off", "--json"],
-        capsys,
-    )
-    assert code == 0
-    assert len(json.loads(out)["children"][1]["classes"]) == 4
 
 
 def test_minor_exit_codes(tmp_path, capsys):
@@ -266,6 +257,9 @@ def test_usage_error_exits_2():
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--case", "b", "--t", "1", "--symmetry", "off"])
     assert err.value.code == 2
 
 

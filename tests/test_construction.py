@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -57,6 +58,9 @@ def test_params_rejects_bad_input():
         params_for("d", 1)
     with pytest.raises(InvalidArgumentError):
         params_for("a", 0)
+    # K_{2x2} has 4 vertices, the row asks for q+2 = 5
+    with pytest.raises(InvalidArgumentError):
+        gadget_template(ConstructionParams("b", 1, 4, 3, 2, "K_{rx2}"))
 
 
 def test_gadget_template_invariants():
@@ -136,37 +140,44 @@ def test_gadget_open_to_other_root_colorings():
 
 
 def test_every_vector_blocked_at_t1():
-    for case in "abc":
-        pp = params_for(case, 1)
-        for vec in itertools.product(range(1, pp.q + 1), repeat=pp.r):
-            assert gadget_blocked(pp, vec), (case, vec)
+    # solving every vector separately must give the orbit certificate's
+    # statuses, with as many vectors per status as its class sizes
+    for case, t in [("a", 1), ("b", 1), ("c", 1), ("b", 2), ("c", 2)]:
+        pp = params_for(case, t)
+        vectors = list(itertools.product(range(1, pp.q + 1), repeat=pp.r))
+        statuses = collections.Counter(
+            gadget_blocked_detail(pp, vec)["status"] for vec in vectors
+        )
+        cert = verify_not_colorable(pp, mode="compositional")
+        assert statuses == {e["status"]: e["size"] for e in cert["classes"]}
+        assert all(e["blocked"] for e in cert["classes"])
+        assert cert["covered"] == len(vectors), (case, t)
 
 
 def test_pattern_classes_small_examples():
-    pp = params_for("b", 1)  # r=2, q=2
-    cls = color_pattern_classes(pp)
-    assert [(c.representative, c.size) for c in cls] == [
-        ((1, 1), 2),
-        ((1, 2), 2),
-    ]
-
-    pp = params_for("c", 1)  # r=1, q=1
-    cls = color_pattern_classes(pp)
-    assert [(c.representative, c.size) for c in cls] == [((1,), 1)]
-
-    pp = params_for("a", 1)  # r=3, q=4
-    cls = color_pattern_classes(pp)
-    assert len(cls) == 5
-    assert sorted(c.size for c in cls) == [4, 12, 12, 12, 24]
-    assert sum(c.size for c in cls) == 64
+    # (case, t) -> [(representative, size)]: the repetition-free orbit,
+    # then the vectors repeating a color (none when r = 1)
+    table = {
+        ("b", 1): [((1, 2), 2), ((1, 1), 2)],
+        ("a", 1): [((1, 2, 3), 24), ((1, 1, 1), 40)],
+        ("a", 2): [((1, 2, 3, 4, 5), 6720), ((1, 1, 1, 1, 1), 26048)],
+        ("c", 1): [((1,), 1)],
+    }
+    for (case, t), want in table.items():
+        pp = params_for(case, t)
+        got = [(c.representative, c.size) for c in color_pattern_classes(pp)]
+        assert got == want, (case, t)
+        assert sum(size for _, size in got) == pp.q**pp.r
 
 
 def test_pattern_classes_drop_unrealizable_partitions():
-    # r=3 positions but only q=2 colors: the discrete partition covers
-    # no vectors and must be absent
+    # r=3 positions but only q=2 colors: no vector is repetition-free,
+    # so that class covers nothing and must be absent
     pp = ConstructionParams("x", 1, 0, 2, 3, "K_{rx2}")
     cls = color_pattern_classes(pp)
     assert all(len(set(c.representative)) <= 2 for c in cls)
+    assert all(c.size > 0 for c in cls)
+    assert [(c.representative, c.size) for c in cls] == [((1, 1, 1), 8)]
     assert sum(c.size for c in cls) == 2**3
 
 
@@ -178,8 +189,11 @@ def test_pattern_classes_cover_everything():
 
 
 def test_pattern_class_count_t2_case_a():
+    # q=8, r=5: one orbit of 8!/3! repetition-free vectors, the rest
+    # repeat a color
     cls = color_pattern_classes(params_for("a", 2))
-    assert len(cls) == 52
+    assert len(cls) == 2
+    assert [c.size for c in cls] == [6720, 32768 - 6720]
     assert sum(c.size for c in cls) == 32768
 
 
@@ -310,20 +324,11 @@ def test_verify_not_colorable_direct():
 
 def test_verify_not_colorable_compositional_modes_agree():
     pp = params_for("a", 1)
-    on = verify_not_colorable(pp, mode="compositional", symmetry=True)
-    off = verify_not_colorable(pp, mode="compositional", symmetry=False)
+    comp = verify_not_colorable(pp, mode="compositional")
     direct = verify_not_colorable(pp, mode="direct")
-    assert on["covered"] == off["covered"] == direct["total_vectors"] == 64
-    assert len(on["classes"]) == 5 and len(off["classes"]) == 64
-    statuses = {e["status"] for e in on["classes"]}
-    assert statuses == {"blocked", "improper-root"}
-
-
-def test_verify_not_colorable_parallel_matches_serial():
-    pp = params_for("a", 1)
-    serial = verify_not_colorable(pp, mode="compositional", symmetry=True)
-    parallel = verify_not_colorable(pp, mode="compositional", symmetry=True, jobs=2)
-    assert serial == parallel
+    assert comp["covered"] == direct["total_vectors"] == 64
+    statuses = [e["status"] for e in comp["classes"]]
+    assert statuses == ["blocked", "improper-root"]
 
 
 def test_verify_not_colorable_direct_refutes_generous_lists():
@@ -350,9 +355,7 @@ def test_verify_not_colorable_refutes_unblocked_gadget(monkeypatch):
 
     monkeypatch.setattr(cons, "gadget_blocked_detail", fake)
     with pytest.raises(ConstructionRefuted) as err:
-        cons.verify_not_colorable(
-            params_for("b", 1), mode="compositional", symmetry=False
-        )
+        cons.verify_not_colorable(params_for("b", 1), mode="compositional")
     assert err.value.vector == (1, 2)
 
 
@@ -375,7 +378,7 @@ def test_verify_construction_bundles():
     comp = verify_construction(params_for("b", 2), mode="compositional")
     assert comp["manifest"]["mode"] == "stats-only"
     assert "degeneracy" not in comp
-    assert comp["children"][1]["symmetry"] is True
+    assert len(comp["children"][1]["classes"]) == 2
 
 
 def test_lower_bound_table_row():
@@ -402,14 +405,13 @@ def test_minus_matching_drives_the_table():
 
 
 def test_symmetry_soundness_sampled():
+    # a random permutation of [1,q] maps (1,...,r) to a member of its
+    # orbit, which must re-solve as blocked like the representative
     rng = random.Random(83)
     for _ in range(150):
-        case = rng.choice("abc")
-        t = rng.choice([1, 2])
-        pp = params_for(case, t)
-        cls = rng.choice(color_pattern_classes(pp))
-        want = gadget_blocked(pp, cls.representative)
-        k = len(set(cls.representative))
-        colors = rng.sample(range(1, pp.q + 1), k)
-        member = tuple(colors[x - 1] for x in cls.representative)
-        assert gadget_blocked(pp, member) == want
+        pp = params_for(rng.choice("abc"), rng.choice([1, 2]))
+        rep = color_pattern_classes(pp)[0].representative
+        perm = rng.sample(range(1, pp.q + 1), pp.q)
+        member = tuple(perm[x - 1] for x in rep)
+        assert gadget_blocked_detail(pp, rep)["status"] == "blocked"
+        assert gadget_blocked_detail(pp, member)["status"] == "blocked"

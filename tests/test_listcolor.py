@@ -8,9 +8,7 @@ from unchoosable import (
     InvalidArgumentError,
     ListAssignment,
     PreconditionError,
-    ResourceLimitError,
     check_coloring,
-    exhaustive_l_colorable,
     l_colorable,
 )
 
@@ -128,24 +126,6 @@ def test_mismatched_sizes_rejected():
     g = cycle(4)
     with pytest.raises(InvalidArgumentError):
         l_colorable(g, uniform(3, 2, 2))
-    with pytest.raises(InvalidArgumentError):
-        exhaustive_l_colorable(g, uniform(3, 2, 2))
-
-
-def test_exhaustive_cap():
-    g = Graph.from_edges(30, [])
-    la = uniform(30, 4, 4)  # 4^30 combinations
-    with pytest.raises(ResourceLimitError):
-        exhaustive_l_colorable(g, la)
-
-
-def test_exhaustive_agrees_on_small_cases():
-    g = cycle(5)
-    la = uniform(5, 2, 2)
-    assert not exhaustive_l_colorable(g, la).colorable
-    la3 = uniform(5, 3, 3)
-    res = exhaustive_l_colorable(g, la3)
-    assert res.colorable and check_coloring(g, la3, res.coloring)
 
 
 def test_solver_matches_product_oracle():
