@@ -38,6 +38,7 @@ from .minors import (
     BranchSetWitness,
     MinorAnswer,
     check_witness,
+    counting_bound,
     hadwiger_number,
     has_clique_minor,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "check_witness",
     "color_pattern_classes",
     "complete_multipartite",
+    "counting_bound",
     "degeneracy",
     "gadget_blocked",
     "gadget_blocked_detail",

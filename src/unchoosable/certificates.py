@@ -2,10 +2,11 @@
 
 A certificate is a plain JSON document.  Checking one re-derives every
 claim it makes: positive minor witnesses are re-verified structurally,
-negative ones re-searched, pasting certificates rebuilt from the stated
-parameters, and compositional non-colorability certificates checked
-against the two color classes recomputed from the parameters, entry for
-entry, with each representative re-solved.  Nothing is trusted from the
+counting bounds re-counted over their partition, exhaustive negatives
+re-searched, pasting certificates rebuilt from the stated parameters,
+and compositional non-colorability certificates checked against the two
+color classes recomputed from the parameters, entry for entry, with
+each representative re-solved.  Nothing is trusted from the
 payload beyond the instance parameters; a tampered certificate (a
 flipped witness vertex, a dropped, duplicated or resized class) must
 come back rejected.
@@ -13,6 +14,7 @@ come back rejected.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .construction import (
@@ -26,10 +28,16 @@ from .construction import (
 from .errors import InvalidArgumentError
 from .graphs import Graph, degeneracy
 from .listcolor import l_colorable
-from .minors import BranchSetWitness, check_witness, has_clique_minor
+from .minors import (
+    BranchSetWitness,
+    check_witness,
+    counting_bound,
+    has_clique_minor,
+)
 
 KINDS = (
     "branch-set-positive",
+    "counting-bound",
     "exhaustive-negative",
     "compositional-pasting",
     "non-colorability",
@@ -47,12 +55,22 @@ def _fail(reason: str) -> CheckResult:
     return CheckResult(False, reason)
 
 
-def check_certificate(cert: dict, graph: Graph | None = None) -> CheckResult:
+def _left(deadline: float | None) -> float | None:
+    return None if deadline is None else max(deadline - time.monotonic(), 0.0)
+
+
+def check_certificate(
+    cert: dict, graph: Graph | None = None, timeout: float | None = None
+) -> CheckResult:
     """Re-validate a certificate document.
 
     `graph` is required for kinds that talk about an externally supplied
-    graph (branch-set-positive, bare exhaustive-negative); construction
-    certificates carry their parameters and rebuild what they need."""
+    graph (branch-set-positive, bare counting-bound or
+    exhaustive-negative); construction certificates carry their
+    parameters and rebuild what they need.  With a `timeout` (seconds)
+    every minor re-search and coloring re-solve shares that budget, and
+    SearchTimeout is raised when it runs out."""
+    deadline = None if timeout is None else time.monotonic() + timeout
     if not isinstance(cert, dict):
         return _fail("certificate must be a JSON object")
     kind = cert.get("kind")
@@ -63,13 +81,15 @@ def check_certificate(cert: dict, graph: Graph | None = None) -> CheckResult:
     try:
         if kind == "branch-set-positive":
             return _check_branch_sets(cert, graph)
+        if kind == "counting-bound":
+            return _check_counting_bound(cert, graph)
         if kind == "exhaustive-negative":
-            return _check_exhaustive_negative(cert, graph)
+            return _check_exhaustive_negative(cert, graph, deadline)
         if kind == "compositional-pasting":
-            return _check_pasting(cert)
+            return _check_pasting(cert, deadline)
         if kind == "non-colorability":
-            return _check_non_colorability(cert)
-        return _check_bundle(cert)
+            return _check_non_colorability(cert, deadline)
+        return _check_bundle(cert, deadline)
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"malformed certificate: {exc}")
 
@@ -92,21 +112,49 @@ def _check_branch_sets(cert: dict, graph: Graph | None) -> CheckResult:
     return CheckResult(True, f"valid K_{len(witness.branch_sets)} minor witness")
 
 
-def _check_exhaustive_negative(cert: dict, graph: Graph | None) -> CheckResult:
-    target = int(cert["target"])
+def _gadget_graph(cert: dict, graph: Graph | None) -> Graph | None:
     if graph is None and cert.get("scope") == "gadget-template":
         graph = gadget_template(params_for(cert["case"], int(cert["t"]))).graph
+    return graph
+
+
+def _check_counting_bound(cert: dict, graph: Graph | None) -> CheckResult:
+    target = int(cert["target"])
+    graph = _gadget_graph(cert, graph)
+    if graph is None:
+        return _fail("counting-bound certificate needs the graph")
+    if int(cert["n"]) != graph.n:
+        return _fail(f"certificate states n={cert['n']}, graph has {graph.n}")
+    bound = counting_bound(graph, cert["partition"])
+    if bound is None:
+        return _fail("partition is not a partition of V into independent sets")
+    if bound >= target:
+        return _fail(
+            f"counting bound {bound} does not exclude a K_{target} minor"
+        )
+    return CheckResult(
+        True,
+        f"counted: no K_{target} minor, every clique minor on {graph.n} "
+        f"vertices has order at most {bound}",
+    )
+
+
+def _check_exhaustive_negative(
+    cert: dict, graph: Graph | None, deadline: float | None
+) -> CheckResult:
+    target = int(cert["target"])
+    graph = _gadget_graph(cert, graph)
     if graph is None:
         return _fail("exhaustive-negative certificate needs the graph")
     if "n" in cert and int(cert["n"]) != graph.n:
         return _fail(f"certificate states n={cert['n']}, graph has {graph.n}")
-    ans = has_clique_minor(graph, target)
+    ans = has_clique_minor(graph, target, timeout=_left(deadline))
     if ans.contains:
         return _fail(f"re-search found a K_{target} minor the certificate denies")
     return CheckResult(True, f"re-verified: no K_{target} minor on {graph.n} vertices")
 
 
-def _check_pasting(cert: dict) -> CheckResult:
+def _check_pasting(cert: dict, deadline: float | None) -> CheckResult:
     params = params_for(cert["case"], int(cert["t"]))
     for key in ("p", "q", "r"):
         if int(cert[key]) != getattr(params, key):
@@ -129,14 +177,20 @@ def _check_pasting(cert: dict) -> CheckResult:
     if not children:
         return _fail("pasting certificate carries no gadget certificate")
     for child in children:
-        if child.get("kind") != "exhaustive-negative":
+        if child.get("kind") != "counting-bound":
             return _fail(f"unexpected child kind {child.get('kind')!r}")
+        if (child.get("case"), child.get("t")) != (params.case, params.t):
+            return _fail(
+                f"child speaks of case {child.get('case')!r}, "
+                f"t={child.get('t')!r}, pasting is case {params.case}, "
+                f"t={params.t}"
+            )
         if int(child["target"]) != params.p:
             return _fail(
                 f"child certifies K_{child['target']}-freeness, pasting "
                 f"needs K_{params.p}"
             )
-        sub = _check_exhaustive_negative(child, tpl.graph)
+        sub = _check_counting_bound(child, tpl.graph)
         if not sub.ok:
             return sub
     direct = cert.get("direct_agreement")
@@ -146,7 +200,7 @@ def _check_pasting(cert: dict) -> CheckResult:
             return _fail(
                 f"direct-agreement graph has {g.n} vertices, stated {direct['n']}"
             )
-        if has_clique_minor(g, params.p).contains:
+        if has_clique_minor(g, params.p, timeout=_left(deadline)).contains:
             return _fail("whole-graph re-search contradicts the certificate")
     return CheckResult(
         True,
@@ -155,7 +209,7 @@ def _check_pasting(cert: dict) -> CheckResult:
     )
 
 
-def _check_non_colorability(cert: dict) -> CheckResult:
+def _check_non_colorability(cert: dict, deadline: float | None) -> CheckResult:
     params = params_for(cert["case"], int(cert["t"]))
     q, r = params.q, params.r
     mode = cert.get("mode")
@@ -163,7 +217,7 @@ def _check_non_colorability(cert: dict) -> CheckResult:
         g, la = build(params)
         if g.n != int(cert["n"]):
             return _fail(f"stated n={cert['n']}, rebuilt graph has {g.n}")
-        if l_colorable(g, la).colorable:
+        if l_colorable(g, la, timeout=_left(deadline)).colorable:
             return _fail("rebuilt graph is colorable, contradicting the certificate")
         return CheckResult(True, f"re-solved directly on {g.n} vertices: not colorable")
     if mode != "compositional":
@@ -182,7 +236,7 @@ def _check_non_colorability(cert: dict) -> CheckResult:
     if stated != expected:
         return _fail(f"classes differ from the recomputed classes {expected}")
     for (rep, _), e in zip(stated, entries):
-        detail = gadget_blocked_detail(params, rep)
+        detail = gadget_blocked_detail(params, rep, timeout=_left(deadline))
         if not detail["blocked"]:
             return _fail(f"vector {rep} re-solves as completable")
         if detail["status"] != e.get("status"):
@@ -197,7 +251,7 @@ def _check_non_colorability(cert: dict) -> CheckResult:
     )
 
 
-def _check_bundle(cert: dict) -> CheckResult:
+def _check_bundle(cert: dict, deadline: float | None) -> CheckResult:
     man = cert["manifest"]
     params = params_for(man["case"], int(man["t"]))
     stats = build_stats(params)
@@ -216,7 +270,7 @@ def _check_bundle(cert: dict) -> CheckResult:
     if "compositional-pasting" not in kinds or "non-colorability" not in kinds:
         return _fail("bundle must certify both minor-freeness and non-colorability")
     for child in children:
-        sub = check_certificate(child)
+        sub = check_certificate(child, timeout=_left(deadline))
         if not sub.ok:
             return sub
     deg = cert.get("degeneracy")

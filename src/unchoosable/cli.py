@@ -4,7 +4,8 @@ Exit codes are part of the interface: 0 means the positive determination
 asked for (verified, colorable, minor found, certificate accepted),
 1 a negative but successful determination (refuted, not colorable,
 minor-free, certificate rejected), 2 a usage or input error, 3 a
-resource limit or timeout.  With --json, stdout carries one JSON
+resource limit, a timeout, or any other failure inside the tool; an
+internal failure never ends in 1.  With --json, stdout carries one JSON
 document; human-readable lines otherwise.
 """
 
@@ -103,7 +104,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_minor(args) -> int:
     g = read_graph(args.input)
-    ans = has_clique_minor(g, args.target)
+    ans = has_clique_minor(g, args.target, timeout=args.timeout)
     if ans.contains:
         doc = {"contains": True, "target": args.target}
         doc.update(ans.witness.to_json_dict())
@@ -205,13 +206,20 @@ def _cmd_check_cert(args) -> int:
     with open(args.cert, "r", encoding="utf-8") as fh:
         cert = json.load(fh)
     graph = read_graph(args.graph) if args.graph else None
-    res = check_certificate(cert, graph)
+    res = check_certificate(cert, graph, timeout=args.timeout)
     _emit(
         {"ok": res.ok, "reason": res.reason},
         ("accepted: " if res.ok else "rejected: ") + res.reason,
         args.json,
     )
     return 0 if res.ok else 1
+
+
+def _seconds(raw: str) -> float:
+    value = float(raw)  # argparse turns a ValueError into a usage error
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected positive seconds, got {raw!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,6 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="graph file (.g6 or .json)")
     p.add_argument("--target", required=True, type=int)
     p.add_argument("--witness", help="write a positive witness here (JSON)")
+    p.add_argument("--timeout", type=_seconds, help="search budget in seconds")
 
     p = add("color", _cmd_color, help="list-coloring decision")
     p.add_argument("--graph", required=True)
@@ -268,6 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("check-cert", _cmd_check_cert, help="re-validate a certificate")
     p.add_argument("--cert", required=True)
     p.add_argument("--graph", help="graph file for witness certificates")
+    p.add_argument("--timeout", type=_seconds,
+                   help="budget in seconds for the re-searches and re-solves")
 
     return ap
 
@@ -289,6 +300,12 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 means "refuted"; a failure of the tool itself must not
+        # look like a verdict
+        msg = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,11 +13,16 @@ failing component rolls back its siblings' work too.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InvalidArgumentError, PreconditionError
+from .errors import InvalidArgumentError, PreconditionError, SearchTimeout
 from .graphs import Graph, _bits
+
+# with a timeout the clock is read once per this many backtracks; every
+# failed branch ends in one, so no long search goes unchecked
+_TIMEOUT_CHECK_EVERY = 256
 
 
 @dataclass(frozen=True)
@@ -107,10 +112,13 @@ def l_colorable(
     g: Graph,
     la: ListAssignment,
     precoloring: Mapping[int, int] | None = None,
+    timeout: float | None = None,
 ) -> SolveResult:
     """Decide L-colorability; on success the coloring is proper and
     list-respecting.  `precoloring` pins vertices to single colors and
-    must agree with their lists."""
+    must agree with their lists.  With a `timeout` (seconds), raises
+    SearchTimeout once the search runs past it."""
+    deadline = None if timeout is None else time.monotonic() + timeout
     if la.n != g.n:
         raise InvalidArgumentError(
             f"list assignment covers {la.n} vertices, graph has {g.n}"
@@ -208,6 +216,9 @@ def l_colorable(
             colored[v] = False
             rewind(mark)
             backtracks += 1
+            if deadline is not None and backtracks % _TIMEOUT_CHECK_EVERY == 0:
+                if time.monotonic() > deadline:
+                    raise SearchTimeout("coloring search exceeded its time budget")
         return False
 
     live = 0

@@ -15,6 +15,10 @@ edge.  Two complete search strategies are provided:
   where only a few merges need exploring.
 
 Both are exhaustive; answers never depend on the strategy.
+
+`counting_bound` is the cheap negative side: a partition of the vertex
+set into k independent sets caps every clique minor at floor((n+k)/2),
+which is tight for the construction's gadgets.
 """
 
 from __future__ import annotations
@@ -149,6 +153,31 @@ def has_clique_minor(
         return MinorAnswer(False, None, stats.nodes, elapsed)
     witness = BranchSetWitness(tuple(tuple(_bits(m)) for m in masks))
     return MinorAnswer(True, witness, stats.nodes, elapsed)
+
+
+def counting_bound(g: Graph, parts: Sequence[Sequence[int]]) -> int | None:
+    """Upper bound floor((n+k)/2) on the order of any clique minor of `g`,
+    or None when `parts` is not a partition of the vertex set into k
+    non-empty independent sets.  O(n+m).
+
+    In a K_t minor model the singleton branch sets are pairwise
+    adjacent, so they lie in distinct parts and number s <= k; every
+    other branch set has two or more vertices, so s + 2(t-s) <= n and
+    2t <= n + k."""
+    part_of = [-1] * g.n
+    for i, part in enumerate(parts):
+        if not part:
+            return None
+        for v in part:
+            if type(v) is not int or not 0 <= v < g.n or part_of[v] != -1:
+                return None
+            part_of[v] = i
+    if -1 in part_of:
+        return None
+    for u, v in g.edges:
+        if part_of[u] == part_of[v]:
+            return None
+    return (g.n + len(parts)) // 2
 
 
 def hadwiger_number(g: Graph, timeout: float | None = None) -> int:

@@ -127,7 +127,9 @@ def test_criterion_4_t2_compositional_symmetry():
             assert stats.n_vertices == pp.r + pp.q**pp.r * (pp.q + 2 - pp.r)
             assert bundle["manifest"]["n_vertices"] == stats.n_vertices
             gadget_cert = bundle["children"][0]["children"][0]
-            assert gadget_cert["method"] == "exhaustive"
+            assert gadget_cert["kind"] == "counting-bound"
+            # the exhaustive search agrees, and finds K_{p-1}: see
+            # test_construction::test_exhaustive_search_agrees_with_counting_bound
             assert gadget_cert["n"] == pp.q + 2 <= 10
         assert _certs["a2"]["children"][1]["covered"] == 32768
         assert time.monotonic() - t0 < 300.0
@@ -135,7 +137,7 @@ def test_criterion_4_t2_compositional_symmetry():
     _report(
         4,
         "t=2 all cases: both color classes blocked, counts match, "
-        "gadgets searched exhaustively",
+        "gadgets certified by counting",
         body,
     )
 

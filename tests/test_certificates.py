@@ -1,16 +1,22 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unchoosable import (
     Graph,
+    SearchTimeout,
     check_certificate,
+    gadget_template,
     has_clique_minor,
     params_for,
     verify_construction,
     verify_minor_free,
     verify_not_colorable,
 )
+
+from conftest import oracle_has_minor
 
 
 @pytest.fixture(scope="module")
@@ -185,5 +191,115 @@ def test_standalone_certs_accepted():
 
 def test_gadget_child_checks_standalone(bundles):
     child = roundtrip(bundles["a1"]["children"][0]["children"][0])
-    assert child["kind"] == "exhaustive-negative"
+    assert child["kind"] == "counting-bound"
+    assert child["partition"] == [[0, 1], [2, 3], [4, 5]]
     assert check_certificate(child).ok  # rebuilds the gadget from case/t
+    octahedron = gadget_template(params_for("a", 1)).graph
+    assert check_certificate(child, octahedron).ok
+
+
+def _on_parts(edit):
+    return lambda child: edit(child["partition"])
+
+
+def _swap_across(ps):
+    ps[0][1], ps[1][0] = ps[1][0], ps[0][1]  # {0,2} and {1,3}: edges
+
+
+# each edit breaks the a2 gadget child
+A2_CHILD_TAMPERS = [
+    ("edge inside a part", _on_parts(_swap_across)),
+    ("parts merged", _on_parts(lambda ps: ps[0].extend(ps.pop(1)))),
+    ("part split", _on_parts(lambda ps: ps.append([ps[0].pop()]))),
+    ("vertex dropped", _on_parts(lambda ps: ps[0].pop())),
+    ("vertex duplicated", _on_parts(lambda ps: ps[0].append(ps[1][0]))),
+    ("vertex out of range", _on_parts(lambda ps: ps[0].__setitem__(1, 10))),
+    ("negative vertex", _on_parts(lambda ps: ps[0].__setitem__(1, -1))),
+    ("vertex as text", _on_parts(lambda ps: ps[0].__setitem__(1, "1"))),
+    ("empty part", _on_parts(lambda ps: ps.append([]))),
+    ("target p-1", lambda c: c.__setitem__("target", c["target"] - 1)),
+    ("n changed", lambda c: c.__setitem__("n", c["n"] + 1)),
+    ("other t", lambda c: c.__setitem__("t", 3)),
+    ("other case", lambda c: c.__setitem__("case", "b")),
+]
+
+
+@pytest.mark.parametrize(
+    "name,edit", A2_CHILD_TAMPERS, ids=[n for n, _ in A2_CHILD_TAMPERS]
+)
+def test_counting_bound_tamper_rejected(bundles, name, edit):
+    bundle = roundtrip(bundles["a2"])
+    child = bundle["children"][0]["children"][0]
+    assert child["kind"] == "counting-bound" and check_certificate(child).ok
+    edit(child)
+    assert not check_certificate(roundtrip(child)).ok
+    assert not check_certificate(bundle).ok
+
+
+def test_counting_bound_child_of_other_row_rejected(bundles):
+    bundle = roundtrip(bundles["a2"])
+    pasting = bundle["children"][0]
+    for other in ("b2", "a1"):
+        foreign = roundtrip(bundles[other]["children"][0]["children"][0])
+        assert check_certificate(foreign).ok  # sound for its own row
+        pasting["children"] = [foreign]
+        assert not check_certificate(pasting).ok
+        assert not check_certificate(bundle).ok
+
+
+def test_exhaustive_child_in_pasting_rejected(bundles):
+    # a pasting takes only counting-bound children, even true ones
+    bundle = roundtrip(bundles["a2"])
+    pasting = bundle["children"][0]
+    child = pasting["children"][0]
+    exhaustive = {key: child[key] for key in ("scope", "case", "t", "target", "n")}
+    exhaustive.update(kind="exhaustive-negative", method="exhaustive", nodes=0)
+    pasting["children"] = [exhaustive]
+    res = check_certificate(pasting)
+    assert not res.ok and "unexpected child kind" in res.reason
+    assert not check_certificate(bundle).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_counting_bound_acceptance_is_sound(data):
+    """Whatever graph and partition it is shown, the checker accepts a
+    counting-bound certificate for K_t only when no K_t minor exists."""
+    n = data.draw(st.integers(1, 8))
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    across_only = data.draw(st.booleans())
+    edges = [
+        (u, v)
+        for (u, v), k in zip(slots, keep)
+        if k and not (across_only and labels[u] == labels[v])
+    ]
+    g = Graph.from_edges(n, edges)
+    parts = [[v for v in range(n) if labels[v] == x] for x in sorted(set(labels))]
+    mutation = data.draw(st.sampled_from(["none", "drop", "duplicate"]))
+    if mutation == "drop":
+        parts[0].pop()
+    elif mutation == "duplicate":
+        parts[-1].append(parts[0][0])
+    target = data.draw(st.integers(1, n + 1))
+    cert = {"kind": "counting-bound", "target": target, "n": n, "partition": parts}
+    res = check_certificate(cert, g)
+    if res.ok:
+        assert not oracle_has_minor(g, target), (edges, parts, target)
+    if mutation == "none" and all(labels[u] != labels[v] for u, v in edges):
+        assert res.ok == (target > (n + len(parts)) // 2)
+    elif mutation != "none":
+        assert not res.ok
+
+
+def test_exhaustive_recheck_honours_timeout():
+    crafted = {
+        "kind": "exhaustive-negative",
+        "scope": "gadget-template",
+        "case": "b",
+        "t": 5,
+        "target": 16,
+    }
+    with pytest.raises(SearchTimeout):
+        check_certificate(crafted, timeout=0.2)

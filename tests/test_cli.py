@@ -1,10 +1,21 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from unchoosable import Graph, read_graph, write_graph, write_graph6
+from unchoosable import (
+    Graph,
+    build_stats,
+    color_pattern_classes,
+    gadget_template,
+    params_for,
+    read_graph,
+    write_graph,
+    verify_minor_free,
+    write_graph6,
+)
 from unchoosable.cli import main
 
 
@@ -261,6 +272,100 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--case", "b", "--t", "1", "--symmetry", "off"])
     assert err.value.code == 2
+    for bad in ("0", "-1", "nan", "soon"):
+        with pytest.raises(SystemExit) as err:
+            main(["minor", "--input", "g.g6", "--target", "3", "--timeout", bad])
+        assert err.value.code == 2
+
+
+def assert_internal_failure(code, err):
+    # exit 1 would read as "refuted"; a crash is exit 3 with one line
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("internal error: ")
+    assert "Traceback" not in err
+
+
+def test_bigint_overflow_exits_3(capsys):
+    code, out, err = run(["build", "--case", "a", "--t", "1000", "--stats-only"], capsys)
+    assert out == ""
+    assert_internal_failure(code, err)
+    assert "ValueError" in err
+
+
+def test_solver_recursion_exits_3(tmp_path, capsys):
+    gp = tmp_path / "path.g6"
+    lp = tmp_path / "lists.json"
+    n = 300
+    write_graph(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]), str(gp))
+    write_text(
+        lp,
+        json.dumps({"palette_size": 2, "lists": {str(v): [1, 2] for v in range(n)}}),
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        code, _, err = run(["color", "--graph", str(gp), "--lists", str(lp)], capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert_internal_failure(code, err)
+    assert "RecursionError" in err
+
+
+def test_check_cert_timeout_exits_3(tmp_path, capsys):
+    cp = tmp_path / "b5.json"
+    write_text(
+        cp,
+        json.dumps(
+            {"kind": "exhaustive-negative", "scope": "gadget-template",
+             "case": "b", "t": 5, "target": 16}
+        ),
+    )
+    t0 = time.monotonic()
+    code, _, err = run(["check-cert", "--cert", str(cp), "--timeout", "0.5"], capsys)
+    assert code == 3 and "resource limit" in err
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_check_cert_timeout_bounds_the_re_solve(tmp_path, capsys):
+    # a b t=5 bundle as verify writes it; re-solving its (1,...,r) class
+    # takes several seconds, and the counting-bound child none
+    params = params_for("b", 5)
+    classes = [
+        {
+            "representative": list(c.representative),
+            "size": c.size,
+            "status": "blocked" if len(set(c.representative)) == params.r
+            else "improper-root",
+            "blocked": True,
+        }
+        for c in color_pattern_classes(params)
+    ]
+    bundle = {
+        "kind": "construction-verified",
+        "manifest": build_stats(params).manifest("stats-only"),
+        "children": [
+            verify_minor_free(params),
+            {"kind": "non-colorability", "case": "b", "t": 5, "mode": "compositional",
+             "classes": classes, "covered": params.q**params.r},
+        ],
+    }
+    cp = tmp_path / "b5.json"
+    write_text(cp, json.dumps(bundle))
+    t0 = time.monotonic()
+    code, _, err = run(["check-cert", "--cert", str(cp), "--timeout", "0.5"], capsys)
+    assert code == 3 and "resource limit" in err
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_minor_timeout_exits_3(tmp_path, capsys):
+    gp = tmp_path / "b5.g6"
+    write_graph(gadget_template(params_for("b", 5)).graph, str(gp))
+    t0 = time.monotonic()
+    code, _, err = run(
+        ["minor", "--input", str(gp), "--target", "16", "--timeout", "0.5"], capsys
+    )
+    assert code == 3 and "resource limit" in err
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_console_script_installed():

@@ -10,15 +10,19 @@ from unchoosable import (
     Graph,
     InvalidArgumentError,
     ResourceLimitError,
+    SearchTimeout,
     build,
     build_stats,
+    check_certificate,
     check_witness,
     color_pattern_classes,
+    counting_bound,
     gadget_blocked,
     gadget_blocked_detail,
     gadget_lists,
     gadget_template,
     hadwiger_number,
+    has_clique_minor,
     l_colorable,
     ListAssignment,
     lower_bound_table,
@@ -304,6 +308,39 @@ def test_verify_minor_free_certificates():
     assert cert["children"][0]["n"] == 6  # octahedron gadget
     assert cert["children"][0]["target"] == 5
     assert "direct_agreement" not in cert
+
+
+@pytest.mark.parametrize("case", "abc")
+def test_counting_bound_lands_one_below_p(case):
+    for t in range(1, 13):
+        pp = params_for(case, t)
+        child = verify_minor_free(pp)["children"][0]
+        assert child["kind"] == "counting-bound"
+        g = gadget_template(pp).graph
+        assert counting_bound(g, child["partition"]) == pp.p - 1
+        assert check_certificate(child).ok
+
+
+# every row with t <= 3 whose gadget has at most 12 vertices (a3's
+# 14-vertex search takes seconds)
+CROSS_CHECK_ROWS = ["a1", "a2", "b1", "b2", "b3", "c1", "c2", "c3"]
+
+
+@pytest.mark.parametrize("row", CROSS_CHECK_ROWS)
+def test_exhaustive_search_agrees_with_counting_bound(row):
+    pp = params_for(row[0], int(row[1:]))
+    child = verify_minor_free(pp)["children"][0]
+    assert child["kind"] == "counting-bound" and child["target"] == pp.p
+    g = gadget_template(pp).graph
+    assert g.n <= 12
+    assert not has_clique_minor(g, pp.p).contains
+    assert has_clique_minor(g, pp.p - 1).contains  # the bound is tight
+
+
+def test_gadget_solver_honours_timeout():
+    pp = params_for("b", 5)  # the (1,...,r) solve takes several seconds
+    with pytest.raises(SearchTimeout):
+        gadget_blocked_detail(pp, range(1, pp.r + 1), timeout=0.2)
 
 
 def test_verify_minor_free_refutes_wrong_parameters():

@@ -8,6 +8,7 @@ from unchoosable import (
     InvalidArgumentError,
     SearchTimeout,
     check_witness,
+    counting_bound,
     hadwiger_number,
     has_clique_minor,
     k_1_r_times_2,
@@ -39,6 +40,29 @@ def test_check_witness_rejects_overlap_disconnection_nonadjacency():
     assert not check_witness(g, BranchSetWitness(((0,), ())))
     with pytest.raises(InvalidArgumentError):
         check_witness(g, BranchSetWitness(((0,), (7,))))
+
+
+def test_counting_bound_values():
+    assert counting_bound(complete(4), [[0], [1], [2], [3]]) == 4
+    assert counting_bound(cycle(5), [[0, 2], [1, 3], [4]]) == 4
+    assert counting_bound(k_r_times_2(3), [[0, 1], [2, 3], [4, 5]]) == 4
+    assert counting_bound(k_1_r_times_2(2), [[0, 1], [2, 3], [4]]) == 4
+    assert counting_bound(Graph.from_edges(0, []), []) == 0
+
+
+def test_counting_bound_rejects_non_partitions():
+    g = cycle(4)
+    for parts in (
+        [[0, 1], [2, 3]],  # edge inside a part
+        [[0, 2], [1]],  # vertex 3 missing
+        [[0, 2], [1, 3], [3]],  # vertex 3 twice
+        [[0, 2], [1, 3], []],  # empty part
+        [[0, 2], [1, 4]],  # out of range
+        [[0, 2], [1, -1]],
+        [[0, 2], [1, True]],
+        [[0, 2], [1, "3"]],
+    ):
+        assert counting_bound(g, parts) is None, parts
 
 
 def test_witness_json_roundtrip():
