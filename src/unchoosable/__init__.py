@@ -56,7 +56,6 @@ from .construction import (
     build,
     build_stats,
     color_pattern_classes,
-    gadget_blocked,
     gadget_blocked_detail,
     gadget_lists,
     gadget_template,
@@ -97,7 +96,6 @@ __all__ = [
     "complete_multipartite",
     "counting_bound",
     "degeneracy",
-    "gadget_blocked",
     "gadget_blocked_detail",
     "gadget_lists",
     "gadget_template",

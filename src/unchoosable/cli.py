@@ -278,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", required=True)
     p.add_argument("--graph", help="graph file for witness certificates")
     p.add_argument("--timeout", type=_seconds,
-                   help="budget in seconds for the re-searches and re-solves")
+                   help="budget in seconds for re-deriving a construction "
+                   "certificate")
 
     return ap
 

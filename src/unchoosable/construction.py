@@ -31,12 +31,20 @@ colors: a permutation of [1,q] that fixes q+1 maps the copy for c onto
 the copy for the permuted c, so one solver run on (1,...,r) decides
 all q!/(q-r)! repetition-free vectors, and every vector with a
 repeated entry is blocked vacuously.  Both modes emit JSON certificates.
+
+This module is the one place that knows the construction-certificate
+format.  A certificate is accepted by running the verifier that wrote
+it again and requiring an equal document, so every check lives here:
+a property that fails raises ConstructionRefuted rather than being
+recorded as a false field.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -83,6 +91,15 @@ def params_for(case: str, t: int) -> ConstructionParams:
         p, q, r, kind = 3 * t + 1, 4 * t - 2, 2 * t, "K_{rx2}"
     else:
         p, q, r, kind = 3 * t, 4 * t - 3, 2 * t - 1, "K_{1,rx2}"
+    # every count of build_stats is below q^r (q+2)^2 = 10^digits, and
+    # str() refuses ints of more than `limit` digits
+    digits = r * math.log10(q) + 2 * math.log10(q + 2)
+    limit = sys.get_int_max_str_digits()
+    if limit and digits >= limit:
+        raise InvalidArgumentError(
+            f"row {case}{t}: its counts run to about {int(digits) + 1} digits, "
+            f"past Python's {limit}-digit int-to-str limit"
+        )
     # p sits one above the gadget's Hadwiger number floor(3r/2) (+1 apex)
     if (3 * r) // 2 + 1 + (kind == "K_{1,rx2}") != p:
         raise InvalidArgumentError(
@@ -176,10 +193,6 @@ def gadget_blocked_detail(
         "blocked": not res.colorable,
         "backtracks": res.backtracks,
     }
-
-
-def gadget_blocked(params: ConstructionParams, c: Sequence[int]) -> bool:
-    return gadget_blocked_detail(params, c)["blocked"]
 
 
 @dataclass(frozen=True)
@@ -323,10 +336,13 @@ def build(
 # --- verification -----------------------------------------------------------
 
 
+def _left(deadline: float | None) -> float | None:
+    return None if deadline is None else max(deadline - time.monotonic(), 0.0)
+
+
 def verify_minor_free(
     params: ConstructionParams,
     built: Graph | None = None,
-    direct_limit: int = DIRECT_MINOR_LIMIT,
     timeout: float | None = None,
 ) -> dict:
     """Certify the pasted graph has no K_p minor.
@@ -334,30 +350,20 @@ def verify_minor_free(
     The gadget is certified by the counting bound over its matching
     classes (plus the apex in case c), a `counting-bound` child that
     costs O(n+m) to check.  Parameters the bound does not settle, which
-    only hand-built rows produce, fall back to an exhaustive search that
-    either refutes with a witness or yields an `exhaustive-negative`
-    child; the checker accepts only `counting-bound` children in a
-    pasting, since it recomputes the row from the table, where the
-    bound always lands.  The gluing set is checked to be a clique; pasting
-    minor-free graphs on a shared clique stays minor-free, which covers
-    every copy by induction.  When the built graph is small enough a
-    direct whole-graph search must agree."""
+    only hand-built rows produce, are searched for the K_p minor that the
+    paper's lemma says they contain (the bound is exact for K_{r x 2}
+    and K_{1, r x 2}), and refuted with it.  The gluing set is checked to
+    be a clique; pasting minor-free graphs on a shared clique stays
+    minor-free, which covers every copy by induction.  When the built
+    graph has at most DIRECT_MINOR_LIMIT vertices a direct whole-graph
+    search must agree.  `timeout` bounds each search, in seconds."""
     tpl = gadget_template(params)
     stats = build_stats(params)
     parts = [list(pair) for pair in tpl.pairs]
     if tpl.extra is not None:
         parts.append([tpl.extra])
     bound = counting_bound(tpl.graph, parts)
-    header = {
-        "scope": "gadget-template",
-        "case": params.case,
-        "t": params.t,
-        "target": params.p,
-        "n": tpl.graph.n,
-    }
-    if bound is not None and bound < params.p:
-        child = {"kind": "counting-bound", **header, "partition": parts}
-    else:
+    if bound is None or bound >= params.p:
         ans = has_clique_minor(tpl.graph, params.p, timeout=timeout)
         if ans.contains:
             raise ConstructionRefuted(
@@ -365,12 +371,11 @@ def verify_minor_free(
                 f"K_{params.p} minor",
                 witness=ans.witness,
             )
-        child = {
-            "kind": "exhaustive-negative",
-            **header,
-            "method": "exhaustive",
-            "nodes": ans.nodes,
-        }
+        raise InvalidArgumentError(
+            f"gadget for case {params.case}, t={params.t}: the counting "
+            f"bound {bound} does not exclude K_{params.p}, yet the search "
+            "finds no such minor"
+        )
     cert = {
         "kind": "compositional-pasting",
         "case": params.case,
@@ -381,9 +386,19 @@ def verify_minor_free(
         "n_gadgets": stats.n_gadgets,
         "glue": list(tpl.root_clique),
         "glue_is_clique": True,
-        "children": [child],
+        "children": [
+            {
+                "kind": "counting-bound",
+                "scope": "gadget-template",
+                "case": params.case,
+                "t": params.t,
+                "target": params.p,
+                "n": tpl.graph.n,
+                "partition": parts,
+            }
+        ],
     }
-    if built is not None and built.n <= direct_limit:
+    if built is not None and built.n <= DIRECT_MINOR_LIMIT:
         direct = has_clique_minor(built, params.p, timeout=timeout)
         if direct.contains:
             raise ConstructionRefuted(
@@ -404,20 +419,22 @@ def verify_not_colorable(
     params: ConstructionParams,
     mode: str = "compositional",
     built: tuple[Graph, ListAssignment] | None = None,
+    timeout: float | None = None,
 ) -> dict:
     """Certify the pasted graph is not colorable from its lists.
 
     Compositional mode checks each color vector's own gadget copy
     blocked (every proper coloring of the roots is some vector, and that
     vector's copy cannot be completed), one representative per class of
-    `color_pattern_classes`.  Direct mode builds the graph and runs the
-    solver on all of it."""
+    `color_pattern_classes`, whose sizes must sum to q^r.  Direct mode
+    builds the graph and runs the solver on all of it.  `timeout` is the
+    solver's budget in seconds; only one class ever runs the solver."""
     if mode not in ("direct", "compositional"):
         raise InvalidArgumentError(f"unknown verification mode {mode!r}")
     q, r = params.q, params.r
     if mode == "direct":
         g, la = built if built is not None else build(params)
-        res = l_colorable(g, la)
+        res = l_colorable(g, la, timeout=timeout)
         if res.colorable:
             raise ConstructionRefuted(
                 f"whole graph for case {params.case}, t={params.t} is "
@@ -438,7 +455,7 @@ def verify_not_colorable(
 
     entries = []
     for cls in color_pattern_classes(params):
-        entry = gadget_blocked_detail(params, cls.representative)
+        entry = gadget_blocked_detail(params, cls.representative, timeout=timeout)
         if not entry["blocked"]:
             raise ConstructionRefuted(
                 f"vector {cls.representative} admits a completion "
@@ -448,6 +465,12 @@ def verify_not_colorable(
         entry["representative"] = entry.pop("vector")
         entry["size"] = cls.size
         entries.append(entry)
+    covered = sum(e["size"] for e in entries)
+    if covered != q**r:
+        raise ConstructionRefuted(
+            f"color classes cover {covered} vectors, case {params.case}, "
+            f"t={params.t} has {q**r}"
+        )
     return {
         "kind": "non-colorability",
         "case": params.case,
@@ -457,7 +480,7 @@ def verify_not_colorable(
         "mode": "compositional",
         "palette_size": q + 1,
         "classes": entries,
-        "covered": sum(e["size"] for e in entries),
+        "covered": covered,
         "total_vectors": q**r,
     }
 
@@ -466,6 +489,11 @@ def verify_degeneracy(params: ConstructionParams, built: Graph) -> dict:
     """Every list in the construction has size q, so q-degeneracy is
     what makes the family tight against greedy coloring."""
     res = degeneracy(built)
+    if res.degeneracy > params.q:
+        raise ConstructionRefuted(
+            f"graph for case {params.case}, t={params.t} has degeneracy "
+            f"{res.degeneracy}, above q={params.q}"
+        )
     return {
         "degeneracy": res.degeneracy,
         "bound": params.q,
@@ -476,15 +504,19 @@ def verify_degeneracy(params: ConstructionParams, built: Graph) -> dict:
 def verify_construction(
     params: ConstructionParams,
     mode: str = "compositional",
-    vertex_cap: int = VERTEX_CAP,
+    timeout: float | None = None,
 ) -> dict:
     """Full pipeline: minor-freeness plus non-colorability, bundled with
     the instance manifest.  Direct mode materializes the graph (subject
-    to the vertex cap) and adds the degeneracy check."""
-    built = build(params, vertex_cap=vertex_cap) if mode == "direct" else None
+    to VERTEX_CAP) and adds the degeneracy check.  `timeout` is one
+    budget in seconds for the searches and the solver together."""
+    deadline = None if timeout is None else time.monotonic() + timeout
+    built = build(params) if mode == "direct" else None
     g = built[0] if built else None
-    minor_cert = verify_minor_free(params, built=g)
-    color_cert = verify_not_colorable(params, mode=mode, built=built)
+    minor_cert = verify_minor_free(params, built=g, timeout=_left(deadline))
+    color_cert = verify_not_colorable(
+        params, mode=mode, built=built, timeout=_left(deadline)
+    )
     stats = build_stats(params)
     bundle = {
         "kind": "construction-verified",

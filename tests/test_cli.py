@@ -285,11 +285,12 @@ def assert_internal_failure(code, err):
     assert "Traceback" not in err
 
 
-def test_bigint_overflow_exits_3(capsys):
+def test_bigint_overflow_exits_2(capsys):
+    # the counts of a1000 would need more digits than int-to-str allows
     code, out, err = run(["build", "--case", "a", "--t", "1000", "--stats-only"], capsys)
-    assert out == ""
-    assert_internal_failure(code, err)
-    assert "ValueError" in err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{sys.get_int_max_str_digits()}-digit" in err
 
 
 def test_solver_recursion_exits_3(tmp_path, capsys):
@@ -309,21 +310,6 @@ def test_solver_recursion_exits_3(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert_internal_failure(code, err)
     assert "RecursionError" in err
-
-
-def test_check_cert_timeout_exits_3(tmp_path, capsys):
-    cp = tmp_path / "b5.json"
-    write_text(
-        cp,
-        json.dumps(
-            {"kind": "exhaustive-negative", "scope": "gadget-template",
-             "case": "b", "t": 5, "target": 16}
-        ),
-    )
-    t0 = time.monotonic()
-    code, _, err = run(["check-cert", "--cert", str(cp), "--timeout", "0.5"], capsys)
-    assert code == 3 and "resource limit" in err
-    assert time.monotonic() - t0 < 5.0
 
 
 def test_check_cert_timeout_bounds_the_re_solve(tmp_path, capsys):

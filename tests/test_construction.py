@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import random
 
@@ -17,7 +18,6 @@ from unchoosable import (
     check_witness,
     color_pattern_classes,
     counting_bound,
-    gadget_blocked,
     gadget_blocked_detail,
     gadget_lists,
     gadget_template,
@@ -62,6 +62,9 @@ def test_params_rejects_bad_input():
         params_for("d", 1)
     with pytest.raises(InvalidArgumentError):
         params_for("a", 0)
+    params_for("a", 600)  # its counts have 4066 digits
+    with pytest.raises(InvalidArgumentError, match="digit"):
+        params_for("a", 700)  # 4836 digits, past the default limit of 4300
     # K_{2x2} has 4 vertices, the row asks for q+2 = 5
     with pytest.raises(InvalidArgumentError):
         gadget_template(ConstructionParams("b", 1, 4, 3, 2, "K_{rx2}"))
@@ -119,10 +122,8 @@ def test_gadget_lists_rejects_bad_vectors():
 
 
 def test_gadget_blocked_examples():
-    assert gadget_blocked(params_for("c", 1), (1,))
-    assert gadget_blocked(params_for("b", 1), (1, 2))
-    assert gadget_blocked(params_for("b", 1), (1, 1))
-    assert gadget_blocked(params_for("a", 1), (1, 2, 3))
+    for case, vec in [("c", (1,)), ("b", (1, 2)), ("b", (1, 1)), ("a", (1, 2, 3))]:
+        assert gadget_blocked_detail(params_for(case, 1), vec)["blocked"]
 
 
 def test_gadget_blocked_detail_statuses():
@@ -384,8 +385,8 @@ def test_verify_not_colorable_refutes_unblocked_gadget(monkeypatch):
 
     real = cons.gadget_blocked_detail
 
-    def fake(params, c):
-        detail = real(params, c)
+    def fake(params, c, timeout=None):
+        detail = real(params, c, timeout=timeout)
         if tuple(c) == (1, 2):
             detail = dict(detail, status="completable", blocked=False)
         return detail
@@ -394,6 +395,30 @@ def test_verify_not_colorable_refutes_unblocked_gadget(monkeypatch):
     with pytest.raises(ConstructionRefuted) as err:
         cons.verify_not_colorable(params_for("b", 1), mode="compositional")
     assert err.value.vector == (1, 2)
+
+
+def test_verify_construction_refutes_degeneracy_above_q(monkeypatch):
+    import unchoosable.construction as cons
+
+    real = cons.degeneracy
+
+    def fake(g):
+        res = real(g)
+        return dataclasses.replace(res, degeneracy=res.degeneracy + 10)
+
+    monkeypatch.setattr(cons, "degeneracy", fake)
+    with pytest.raises(ConstructionRefuted, match="degeneracy"):
+        cons.verify_construction(params_for("b", 1), mode="direct")
+
+
+def test_verify_not_colorable_refutes_uncovered_vectors(monkeypatch):
+    # classes that miss vectors must not pass as a cover of [1,q]^r
+    import unchoosable.construction as cons
+
+    real = cons.color_pattern_classes
+    monkeypatch.setattr(cons, "color_pattern_classes", lambda pp: real(pp)[:1])
+    with pytest.raises(ConstructionRefuted, match="cover"):
+        cons.verify_construction(params_for("a", 1), mode="compositional")
 
 
 def test_verify_degeneracy_values():
