@@ -6,15 +6,15 @@ Construction certificates (a `construction-verified` bundle, a
 `compositional-pasting` or a `non-colorability` certificate) are
 re-derived: the checker reads the row (case, t) and the mode, runs the
 verifier of `construction` that wrote the certificate again, and
-accepts only a document equal to the given one, field for field.  The
-verifier's output is plain JSON data, so it compares equal to its own
-round trip; the comparison is Python's `==`, under which `true` equals
-`1`.  A bundle's manifest is compared with the
-manifest arithmetic first, so a bundle relabelled to another row is
-rejected without verifying that row.  On a mismatch the reason names
-the first differing path.  Nothing in the payload is trusted beyond the
-row and the mode, and this module knows no field of these certificates
-beyond those.
+accepts only a document equal to the given one, field for field and
+type for type (`true` is not `1`, `1` is not `1.0`).  A pasting is the
+same in both modes, so its row is all the replay needs, and the
+list-coloring solver is the only search a check can run.  A bundle's
+manifest is compared with the manifest arithmetic first, so a bundle
+relabelled to another row is rejected without verifying that row.  On a
+mismatch the reason names the first differing path.  Nothing in the
+payload is trusted beyond the row and the mode, and this module knows
+no field of these certificates beyond those.
 
 Certificates about a graph given from outside (`branch-set-positive`
 witnesses and `counting-bound` certificates) are proof-checked: the
@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construction import (
-    DIRECT_MINOR_LIMIT,
-    build,
     build_stats,
     gadget_template,
     params_for,
@@ -71,8 +69,9 @@ def check_certificate(
     `graph` is required for kinds that talk about an externally supplied
     graph (branch-set-positive, bare counting-bound); construction
     certificates carry their row and rebuild what they need.  With a
-    `timeout` (seconds) the re-derivation's searches and solver runs
-    share that budget, and SearchTimeout is raised when it runs out."""
+    `timeout` (seconds) the re-derivation's solver runs share that
+    budget, and SearchTimeout is raised when it runs out; nothing else
+    in a check searches."""
     if not isinstance(cert, dict):
         return _fail("certificate must be a JSON object")
     kind = cert.get("kind")
@@ -142,27 +141,19 @@ def _check_construction(
             if mode is None:
                 return _fail(f"unknown manifest mode {man['mode']!r}")
             want = build_stats(params).manifest(man["mode"])
-            if want != man:
-                return _fail(_first_difference(want, man, "manifest"))
+            if diff := _first_difference(want, man, "manifest"):
+                return _fail(diff)
             fresh = verify_construction(params, mode, timeout=timeout)
         elif kind == "non-colorability":
             params = params_for(cert["case"], int(cert["t"]))
             fresh = verify_not_colorable(params, cert["mode"], timeout=timeout)
         else:
-            # a pasting is direct mode when it carries direct_agreement,
-            # which the verifier only writes for graphs this small
             params = params_for(cert["case"], int(cert["t"]))
-            built = None
-            if (
-                "direct_agreement" in cert
-                and build_stats(params).n_vertices <= DIRECT_MINOR_LIMIT
-            ):
-                built = build(params)[0]
-            fresh = verify_minor_free(params, built, timeout=timeout)
+            fresh = verify_minor_free(params)
     except ConstructionRefuted as exc:
         return _fail(f"re-derivation refutes the claim: {exc}")
-    if fresh != cert:
-        return _fail(_first_difference(fresh, cert, ""))
+    if diff := _first_difference(fresh, cert):
+        return _fail(diff)
     return CheckResult(
         True,
         f"{kind} certificate re-derived for case {params.case}, "
@@ -178,23 +169,30 @@ def _show(value) -> str:
     return repr(value)
 
 
-def _first_difference(fresh, given, path: str) -> str:
+def _first_difference(fresh, given, path: str = "") -> str | None:
     """Name the first place, in `fresh`'s key order, where `given`
-    departs from the re-derived `fresh`.  Only called when they differ."""
-    if isinstance(fresh, dict) and isinstance(given, dict):
+    departs from the re-derived `fresh`, or return None when the two are
+    equal.  Types count: `true` is not `1`, and `1` is not `1.0`."""
+    if (
+        type(fresh) is not type(given)
+        or (isinstance(fresh, list) and len(fresh) != len(given))
+        or (not isinstance(fresh, (dict, list)) and fresh != given)
+    ):
+        return (
+            f"{path or 'certificate'}: certificate has {_show(given)}, "
+            f"re-derived {_show(fresh)}"
+        )
+    if isinstance(fresh, dict):
         for key in [*fresh, *(k for k in given if k not in fresh)]:
             sub = f"{path}.{key}" if path else key
             if key not in given:
                 return f"{sub}: missing, re-derived {_show(fresh[key])}"
             if key not in fresh:
                 return f"{sub}: not in the re-derived certificate"
-            if fresh[key] != given[key]:
-                return _first_difference(fresh[key], given[key], sub)
-    if isinstance(fresh, list) and isinstance(given, list) and len(fresh) == len(given):
+            if diff := _first_difference(fresh[key], given[key], sub):
+                return diff
+    elif isinstance(fresh, list):
         for i, (a, b) in enumerate(zip(fresh, given)):
-            if a != b:
-                return _first_difference(a, b, f"{path}[{i}]")
-    return (
-        f"{path or 'certificate'}: certificate has {_show(given)}, "
-        f"re-derived {_show(fresh)}"
-    )
+            if diff := _first_difference(a, b, f"{path}[{i}]"):
+                return diff
+    return None

@@ -34,7 +34,8 @@ from .errors import (
 from .graphs import degeneracy as graph_degeneracy
 from .graphs import paste
 from .graphio import read_graph, write_graph
-from .listcolor import l_colorable, read_list_assignment
+from .listcolor import l_colorable, precoloring_from_json_dict
+from .listcolor import read_list_assignment, write_list_assignment
 from .minors import has_clique_minor
 
 
@@ -69,9 +70,7 @@ def _cmd_build(args) -> int:
     if args.graph:
         write_graph(g, args.graph)
     if args.lists:
-        with open(args.lists, "w", encoding="utf-8") as fh:
-            json.dump(la.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_list_assignment(la, args.lists)
     man = stats.manifest("full")
     _emit(
         man,
@@ -137,8 +136,7 @@ def _cmd_color(args) -> int:
     pre = None
     if args.precolor:
         with open(args.precolor, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        pre = {int(k): int(v) for k, v in raw.items()}
+            pre = precoloring_from_json_dict(json.load(fh))
     res = l_colorable(g, la, precoloring=pre)
     if res.colorable:
         if args.coloring:
@@ -297,6 +295,7 @@ def main(argv=None) -> int:
         PreconditionError,
         ParseError,
         json.JSONDecodeError,
+        UnicodeDecodeError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

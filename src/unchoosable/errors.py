@@ -38,12 +38,10 @@ class SearchTimeout(UnchoosableError, RuntimeError):
 class ConstructionRefuted(UnchoosableError, RuntimeError):
     """A verification step found a counterexample to a claimed property.
 
-    `witness` carries a BranchSetWitness when a forbidden clique minor was
-    found; `vector` carries the offending color vector when a gadget failed
-    to block its root coloring.
+    `vector` carries the offending color vector when a gadget failed to
+    block its root coloring.
     """
 
-    def __init__(self, message: str, witness=None, vector=None):
+    def __init__(self, message: str, vector=None):
         super().__init__(message)
-        self.witness = witness
         self.vector = vector

@@ -123,7 +123,8 @@ def read_adjacency_json(text: str) -> Graph:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", offset=e.pos) from e
-    if not isinstance(doc, dict) or not isinstance(doc.get("n"), int):
+    # ids and counts are ints, and JSON's true and false are not
+    if not isinstance(doc, dict) or type(doc.get("n")) is not int:
         raise ParseError("adjacency JSON must be an object with integer 'n'")
     n = doc["n"]
     raw_edges = doc.get("edges", [])
@@ -131,7 +132,7 @@ def read_adjacency_json(text: str) -> Graph:
         raise ParseError("'edges' must be a list of [u, v] pairs")
     edges = []
     for e in raw_edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ParseError(f"bad edge entry {e!r}")
         edges.append(tuple(e))
     if len(set(tuple(sorted(e)) for e in edges)) != len(edges):
@@ -142,8 +143,10 @@ def read_adjacency_json(text: str) -> Graph:
             raise ParseError("'labels' must be an object of tag -> [ids]")
         labels = {}
         for tag, vs in doc["labels"].items():
+            if not isinstance(vs, list):
+                raise ParseError(f"label tag {tag!r} needs a list of ids")
             for v in vs:
-                if not isinstance(v, int):
+                if type(v) is not int:
                     raise ParseError(f"bad label id {v!r} under tag {tag!r}")
                 if v in labels:
                     raise ParseError(f"vertex {v} labeled twice")

@@ -144,32 +144,28 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _matched_multipartite(r: int, singletons: int) -> Graph:
+    """r classes of size 2, the pair (2i, 2i+1) tagged 'v' and 'w', then
+    `singletons` unlabeled classes of size 1."""
+    if r <= 0:
+        raise InvalidArgumentError(f"r must be positive, got {r}")
+    g = complete_multipartite([2] * r + [1] * singletons)
+    labels = tuple((v, "vw"[v % 2]) for v in range(2 * r))
+    return Graph(n=g.n, edges=g.edges, labels=labels)
+
+
 def k_r_times_2(r: int) -> Graph:
     """K_{2r} minus a perfect matching: r classes of size 2.
 
     The matched pair of class i is (2i, 2i+1), tagged 'v' and 'w'.
     """
-    if r <= 0:
-        raise InvalidArgumentError(f"r must be positive, got {r}")
-    g = complete_multipartite([2] * r)
-    labels = {}
-    for i in range(r):
-        labels[2 * i] = "v"
-        labels[2 * i + 1] = "w"
-    return Graph(n=g.n, edges=g.edges, labels=tuple(sorted(labels.items())))
+    return _matched_multipartite(r, 0)
 
 
 def k_1_r_times_2(r: int) -> Graph:
     """K_{2r+1} minus a near-perfect matching: r classes of size 2 plus a
     singleton class (vertex 2r, unlabeled)."""
-    if r <= 0:
-        raise InvalidArgumentError(f"r must be positive, got {r}")
-    g = complete_multipartite([2] * r + [1])
-    labels = {}
-    for i in range(r):
-        labels[2 * i] = "v"
-        labels[2 * i + 1] = "w"
-    return Graph(n=g.n, edges=g.edges, labels=tuple(sorted(labels.items())))
+    return _matched_multipartite(r, 1)
 
 
 def matching_pairs(g: Graph) -> tuple[tuple[int, int], ...]:

@@ -69,20 +69,31 @@ class ListAssignment:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "ListAssignment":
-        if "palette_size" not in doc or "lists" not in doc:
-            raise InvalidArgumentError("list assignment needs palette_size and lists")
-        raw = doc["lists"]
-        n = len(raw)
-        rows: list[list[int]] = [[] for _ in range(n)]
-        for key, row in raw.items():
-            v = int(key)
-            if not (0 <= v < n):
-                raise InvalidArgumentError(
-                    f"list key {key} outside the contiguous range [0,{n})"
-                )
-            rows[v] = list(row)
-        return cls.from_lists(int(doc["palette_size"]), rows)
+    def from_json_dict(cls, doc: object) -> "ListAssignment":
+        """Inverse of `to_json_dict`; InvalidArgumentError for any other
+        JSON value."""
+        raw = doc.get("lists") if isinstance(doc, dict) else None
+        if not isinstance(raw, dict) or type(doc.get("palette_size")) is not int:
+            raise InvalidArgumentError(
+                "list assignment needs an integer palette_size and lists"
+            )
+        rows = [raw.get(str(v)) for v in range(len(raw))]
+        if not all(type(r) is list and all(type(c) is int for c in r) for r in rows):
+            raise InvalidArgumentError(
+                "lists must be keyed by the ids 0..n-1, each an array of integer colors"
+            )
+        return cls.from_lists(doc["palette_size"], rows)
+
+
+def precoloring_from_json_dict(doc: object) -> dict[int, int]:
+    """Parse an object of decimal vertex id -> integer color; `l_colorable`
+    range-checks both.  InvalidArgumentError for any other JSON value."""
+    if not isinstance(doc, dict) or not all(
+        k.isascii() and k.isdecimal() and str(int(k)) == k and type(c) is int
+        for k, c in doc.items()
+    ):
+        raise InvalidArgumentError("precoloring must map vertex ids to integer colors")
+    return {int(k): c for k, c in doc.items()}
 
 
 @dataclass(frozen=True)
@@ -128,12 +139,11 @@ def l_colorable(
         for v, c in precoloring.items():
             if not (0 <= v < g.n):
                 raise InvalidArgumentError(f"precolored vertex {v} out of range")
-            bit = 1 << (c - 1)
-            if not domains[v] & bit:
+            if c not in la.lists[v]:
                 raise PreconditionError(
                     f"precoloring pins vertex {v} to {c}, not in its list"
                 )
-            domains[v] = bit
+            domains[v] = 1 << (c - 1)
 
     adj = g.adj
     colored = [False] * g.n

@@ -57,6 +57,7 @@ def test_criterion_1_case_b_t1_full_direct():
         pp = params_for("b", 1)
         g, la = build(pp)
         assert g.n == 10 == pp.r + pp.q**pp.r * (pp.q + 2 - pp.r)
+        # the whole-graph cross-check of b1: verify only counts the gadget
         assert not has_clique_minor(g, 4).contains
         assert all(len(row) == 2 for row in la.lists)
         assert not l_colorable(g, la).colorable
@@ -97,6 +98,7 @@ def test_criterion_3_case_c_t1_tiny():
         pp = params_for("c", 1)
         g, la = build(pp)
         assert g.n == 3 and g.m == 2
+        # the whole-graph cross-check of c1: verify only counts the gadget
         assert not has_clique_minor(g, 3).contains
         assert all(len(row) == 1 for row in la.lists)
         assert not l_colorable(g, la).colorable

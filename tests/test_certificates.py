@@ -296,8 +296,9 @@ def test_counting_bound_acceptance_is_sound(data):
 
 def single_field_edits(doc, path=()):
     """Every single-field edit of a JSON document, as (path, edited
-    copy): each leaf changed (int +1, bool flipped, string altered),
-    each key dropped, and one key added to each object."""
+    copy): each leaf changed (int +1, bool flipped, string altered) or
+    retyped (bool as 0/1, int as float, 0/1 as bool), each key dropped,
+    and one key added to each object."""
     if isinstance(doc, dict):
         yield path + ("+",), {**doc, "extra": 0}
         for key, value in doc.items():
@@ -310,8 +311,12 @@ def single_field_edits(doc, path=()):
                 yield sub, doc[:i] + [edited] + doc[i + 1:]
     elif isinstance(doc, bool):
         yield path, not doc
+        yield path + ("int",), int(doc)
     elif isinstance(doc, int):
         yield path, doc + 1
+        yield path + ("float",), float(doc)
+        if doc in (0, 1):
+            yield path + ("bool",), bool(doc)
     elif isinstance(doc, str):
         yield path, doc + "x"
 

@@ -4,19 +4,26 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unchoosable import (
     Graph,
+    InvalidArgumentError,
+    ListAssignment,
+    ParseError,
     build_stats,
     color_pattern_classes,
     gadget_template,
     params_for,
+    read_adjacency_json,
     read_graph,
     write_graph,
     verify_minor_free,
     write_graph6,
 )
 from unchoosable.cli import main
+from unchoosable.listcolor import precoloring_from_json_dict
 
 
 def run(argv, capsys):
@@ -200,12 +207,14 @@ def test_color_bad_precolor_is_usage_error(tmp_path, capsys):
         lp,
         json.dumps({"palette_size": 2, "lists": {"0": [1], "1": [1, 2]}}),
     )
-    write_text(pp, json.dumps({"0": 2}))  # not in vertex 0's list
-    code, _, err = run(
-        ["color", "--graph", str(gp), "--lists", str(lp), "--precolor", str(pp)],
-        capsys,
-    )
-    assert code == 2 and "error" in err
+    # not in vertex 0's list; in no list; a bool; a non-canonical id
+    for pins in ({"0": 2}, {"0": 0}, {"0": True}, {"00": 1}):
+        write_text(pp, json.dumps(pins))
+        code, _, err = run(
+            ["color", "--graph", str(gp), "--lists", str(lp), "--precolor", str(pp)],
+            capsys,
+        )
+        assert code == 2 and err.startswith("error: "), (pins, err)
 
 
 def test_degeneracy_command(tmp_path, capsys):
@@ -260,9 +269,12 @@ def test_corrupt_graph6_is_parse_error(tmp_path, capsys):
     write_text(gp, good[:-1])
     code, _, err = run(["minor", "--input", str(gp), "--target", "3"], capsys)
     assert code == 2 and "error" in err
+    gp.write_bytes(b"\xff\xfe")  # not ASCII, so not graph6 either
+    code, _, err = run(["minor", "--input", str(gp), "--target", "3"], capsys)
+    assert code == 2 and err.startswith("error: ")
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["build", "--case", "z", "--t", "1"])
     assert err.value.code == 2
@@ -276,6 +288,75 @@ def test_usage_error_exits_2():
         with pytest.raises(SystemExit) as err:
             main(["minor", "--input", "g.g6", "--target", "3", "--timeout", bad])
         assert err.value.code == 2
+    capsys.readouterr()
+    # malformed input files are input errors, not internal failures
+    gp = tmp_path / "path.json"
+    write_graph(Graph.from_edges(3, [(0, 1), (1, 2)]), str(gp))
+    lists = {"palette_size": 2, "lists": {str(v): [1, 2] for v in range(3)}}
+    malformed = [
+        ("lists", {"palette_size": 2, "lists": [[1], [2], [1]]}),
+        ("lists", dict(lists, palette_size="x")),
+        ("graph", {"n": 3, "labels": {"v": 5}}),
+        ("graph", {"n": 3, "edges": [[0, True]]}),
+    ]
+    for role, doc in malformed:
+        bad = tmp_path / "bad.json"
+        write_text(bad, json.dumps(doc))
+        if role == "graph":
+            argv = ["degeneracy", "--input", str(bad)]
+        else:
+            argv = ["color", "--graph", str(gp), "--lists", str(bad)]
+        code, _, err = run(argv, capsys)
+        assert code == 2 and err.startswith("error: "), (doc, err)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+IDS = st.sampled_from(["0", "1", "2", "00", "-1", " 1", "x"])
+
+
+def near(*shapes):
+    # a JSON value, or one shaped like a valid document around JSON leaves
+    return st.one_of(JSON, *shapes)
+
+
+LIST_DOCS = near(
+    st.fixed_dictionaries({
+        "palette_size": near(st.integers(-1, 3)),
+        "lists": near(st.dictionaries(IDS, near(st.lists(near(st.integers(0, 4)))))),
+    })
+)
+GRAPH_DOCS = near(
+    st.fixed_dictionaries(
+        {"n": near(st.integers(-1, 4))},
+        optional={
+            "edges": near(st.lists(near(st.lists(near(st.integers(-1, 4)))))),
+            "labels": near(st.dictionaries(st.text(max_size=2), near(
+                st.lists(near(st.integers(-1, 4)))))),
+        },
+    )
+)
+PRECOLOR_DOCS = near(st.dictionaries(IDS, near(st.integers(-1, 4))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lists=LIST_DOCS, graph=GRAPH_DOCS, precolor=PRECOLOR_DOCS)
+def test_readers_raise_only_input_errors(lists, graph, precolor):
+    """Each input reader turns any JSON value into a value or an input
+    error (exit 2), never another exception (exit 3)."""
+    for read, doc in (
+        (ListAssignment.from_json_dict, lists),
+        (lambda d: read_adjacency_json(json.dumps(d)), graph),
+        (precoloring_from_json_dict, precolor),
+    ):
+        try:
+            read(doc)
+        except (ParseError, InvalidArgumentError):
+            pass
 
 
 def assert_internal_failure(code, err):

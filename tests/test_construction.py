@@ -298,17 +298,23 @@ def test_all_lists_have_size_q():
 
 
 def test_verify_minor_free_certificates():
-    cert = verify_minor_free(params_for("b", 1), built=build(params_for("b", 1))[0])
+    cert = verify_minor_free(params_for("b", 1))
     assert cert["kind"] == "compositional-pasting"
     assert cert["children"][0]["target"] == 4
     assert cert["children"][0]["n"] == 4
     assert cert["n_gadgets"] == 4
-    assert cert["direct_agreement"]["ran"] and not cert["direct_agreement"]["contains"]
 
     cert = verify_minor_free(params_for("a", 1))
     assert cert["children"][0]["n"] == 6  # octahedron gadget
     assert cert["children"][0]["target"] == 5
-    assert "direct_agreement" not in cert
+
+    # one pasting certificate for both modes, and no whole-graph search
+    pastings = [
+        verify_construction(params_for("b", 1), mode=mode)["children"][0]
+        for mode in ("direct", "compositional")
+    ]
+    assert pastings[0] == pastings[1] == verify_minor_free(params_for("b", 1))
+    assert all("direct_agreement" not in pasting for pasting in pastings)
 
 
 @pytest.mark.parametrize("case", "abc")
@@ -344,13 +350,14 @@ def test_gadget_solver_honours_timeout():
         gadget_blocked_detail(pp, range(1, pp.r + 1), timeout=0.2)
 
 
-def test_verify_minor_free_refutes_wrong_parameters():
+def test_verify_minor_free_rejects_rows_the_bound_does_not_settle():
     bogus = ConstructionParams("b", 1, 3, 2, 2, "K_{rx2}")  # C_4 has a K_3 minor
-    with pytest.raises(ConstructionRefuted) as err:
+    with pytest.raises(InvalidArgumentError, match="counting bound 3"):
         verify_minor_free(bogus)
-    witness = err.value.witness
-    assert witness is not None
-    assert check_witness(gadget_template(bogus).graph, witness)
+    # the row is rightly refused: its gadget does contain the minor
+    g = gadget_template(bogus).graph
+    ans = has_clique_minor(g, bogus.p)
+    assert ans.contains and check_witness(g, ans.witness)
 
 
 def test_verify_not_colorable_direct():

@@ -1,12 +1,15 @@
 """Construction certificates are checked by running the verifier again.
 The checker must not import the kernels the verifier uses, so that a
-second derivation, with gaps of its own, cannot creep back in."""
+second derivation, with gaps of its own, cannot creep back in.  The
+verifier itself certifies minor-freeness by the counting bound, so it
+must not reach the exhaustive minor search either."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "unchoosable"
 CHECKER = SRC / "certificates.py"
+VERIFIER = SRC / "construction.py"
 KERNELS = {
     "l_colorable",
     "has_clique_minor",
@@ -16,15 +19,29 @@ KERNELS = {
 }
 
 
-def test_checker_imports_no_verification_kernel():
-    tree = ast.parse(CHECKER.read_text(encoding="utf-8"), filename=str(CHECKER))
+def _uses(path: Path, names: set[str]) -> list[str]:
+    """Imports, attribute accesses and bare names in `path` that are in
+    `names`, as 'line N: name'."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            used = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
+            used = [node.attr]
+        elif isinstance(node, ast.Name):
+            used = [node.id]
         else:
             continue
-        found += [f"line {node.lineno}: {n}" for n in names if n in KERNELS]
+        found += [f"line {node.lineno}: {n}" for n in used if n in names]
+    return found
+
+
+def test_checker_imports_no_verification_kernel():
+    found = _uses(CHECKER, KERNELS)
     assert not found, f"certificates.py reaches verification kernels: {found}"
+
+
+def test_verifier_searches_for_no_minor():
+    found = _uses(VERIFIER, {"has_clique_minor"})
+    assert not found, f"construction.py reaches the minor search: {found}"
