@@ -8,8 +8,9 @@ re-derived: the checker reads the row (case, t) and the mode, runs the
 verifier of `construction` that wrote the certificate again, and
 accepts only a document equal to the given one, field for field and
 type for type (`true` is not `1`, `1` is not `1.0`).  A pasting is the
-same in both modes, so its row is all the replay needs, and the
-list-coloring solver is the only search a check can run.  A bundle's
+same in both modes, so its row is all the replay needs.  Only a
+direct-mode certificate runs the list-coloring solver; nothing else in
+a check searches.  A bundle's
 manifest is compared with the manifest arithmetic first, so a bundle
 relabelled to another row is rejected without verifying that row.  On a
 mismatch the reason names the first differing path.  Nothing in the
@@ -20,7 +21,8 @@ Certificates about a graph given from outside (`branch-set-positive`
 witnesses and `counting-bound` certificates) are proof-checked: the
 branch sets must be disjoint, connected and pairwise adjacent, and the
 partition must split the vertices into independent sets whose count
-caps the clique minor below the target.
+caps the clique minor below the target.  Counts and vertex ids must be
+JSON integers, not bools, strings or floats.
 """
 
 from __future__ import annotations
@@ -61,6 +63,14 @@ def _fail(reason: str) -> CheckResult:
     return CheckResult(False, reason)
 
 
+def _int(doc: dict, key: str) -> int:
+    """doc[key], which must be a JSON integer (not a bool, string or
+    float)."""
+    if type(doc[key]) is not int:
+        raise TypeError(f"{key} must be an integer, got {doc[key]!r}")
+    return doc[key]
+
+
 def check_certificate(
     cert: dict, graph: Graph | None = None, timeout: float | None = None
 ) -> CheckResult:
@@ -68,10 +78,11 @@ def check_certificate(
 
     `graph` is required for kinds that talk about an externally supplied
     graph (branch-set-positive, bare counting-bound); construction
-    certificates carry their row and rebuild what they need.  With a
-    `timeout` (seconds) the re-derivation's solver runs share that
-    budget, and SearchTimeout is raised when it runs out; nothing else
-    in a check searches."""
+    certificates carry their row and rebuild what they need.  `timeout`
+    (seconds) bounds the solver run that re-derives a direct-mode
+    certificate, and SearchTimeout is raised when it runs out; a
+    compositional certificate is re-derived by counting, and nothing
+    else in a check searches."""
     if not isinstance(cert, dict):
         return _fail("certificate must be a JSON object")
     kind = cert.get("kind")
@@ -93,7 +104,7 @@ def _check_branch_sets(cert: dict, graph: Graph | None) -> CheckResult:
     if graph is None:
         return _fail("branch-set certificate needs the graph it talks about")
     witness = BranchSetWitness.from_json_dict(cert)
-    if "t" in cert and int(cert["t"]) != len(witness.branch_sets):
+    if "t" in cert and _int(cert, "t") != len(witness.branch_sets):
         return _fail(
             f"witness claims t={cert['t']} but carries "
             f"{len(witness.branch_sets)} branch sets"
@@ -108,12 +119,12 @@ def _check_branch_sets(cert: dict, graph: Graph | None) -> CheckResult:
 
 
 def _check_counting_bound(cert: dict, graph: Graph | None) -> CheckResult:
-    target = int(cert["target"])
+    target = _int(cert, "target")
     if graph is None and cert.get("scope") == "gadget-template":
-        graph = gadget_template(params_for(cert["case"], int(cert["t"]))).graph
+        graph = gadget_template(params_for(cert["case"], _int(cert, "t"))).graph
     if graph is None:
         return _fail("counting-bound certificate needs the graph")
-    if int(cert["n"]) != graph.n:
+    if _int(cert, "n") != graph.n:
         return _fail(f"certificate states n={cert['n']}, graph has {graph.n}")
     bound = counting_bound(graph, cert["partition"])
     if bound is None:
@@ -136,7 +147,7 @@ def _check_construction(
     try:
         if kind == "construction-verified":
             man = cert["manifest"]
-            params = params_for(man["case"], int(man["t"]))
+            params = params_for(man["case"], _int(man, "t"))
             mode = _MANIFEST_MODES.get(man["mode"])
             if mode is None:
                 return _fail(f"unknown manifest mode {man['mode']!r}")
@@ -145,10 +156,10 @@ def _check_construction(
                 return _fail(diff)
             fresh = verify_construction(params, mode, timeout=timeout)
         elif kind == "non-colorability":
-            params = params_for(cert["case"], int(cert["t"]))
+            params = params_for(cert["case"], _int(cert, "t"))
             fresh = verify_not_colorable(params, cert["mode"], timeout=timeout)
         else:
-            params = params_for(cert["case"], int(cert["t"]))
+            params = params_for(cert["case"], _int(cert, "t"))
             fresh = verify_minor_free(params)
     except ConstructionRefuted as exc:
         return _fail(f"re-derivation refutes the claim: {exc}")

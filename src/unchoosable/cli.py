@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graphs import degeneracy as graph_degeneracy
 from .graphs import paste
-from .graphio import read_graph, write_graph
+from .graphio import load_json, read_graph, write_graph
 from .listcolor import l_colorable, precoloring_from_json_dict
 from .listcolor import read_list_assignment, write_list_assignment
 from .minors import has_clique_minor
@@ -136,7 +136,7 @@ def _cmd_color(args) -> int:
     pre = None
     if args.precolor:
         with open(args.precolor, "r", encoding="utf-8") as fh:
-            pre = precoloring_from_json_dict(json.load(fh))
+            pre = precoloring_from_json_dict(load_json(fh.read()))
     res = l_colorable(g, la, precoloring=pre)
     if res.colorable:
         if args.coloring:
@@ -202,7 +202,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_check_cert(args) -> int:
     with open(args.cert, "r", encoding="utf-8") as fh:
-        cert = json.load(fh)
+        cert = load_json(fh.read())
     graph = read_graph(args.graph) if args.graph else None
     res = check_certificate(cert, graph, timeout=args.timeout)
     _emit(
@@ -276,8 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", required=True)
     p.add_argument("--graph", help="graph file for witness certificates")
     p.add_argument("--timeout", type=_seconds,
-                   help="budget in seconds for re-deriving a construction "
-                   "certificate")
+                   help="budget in seconds for re-solving a direct-mode "
+                   "construction certificate, the only check that runs the "
+                   "solver")
 
     return ap
 
@@ -294,7 +295,6 @@ def main(argv=None) -> int:
         InvalidArgumentError,
         PreconditionError,
         ParseError,
-        json.JSONDecodeError,
         UnicodeDecodeError,
         OSError,
     ) as exc:

@@ -26,12 +26,13 @@ Both modes certify the gadget K_p-minor-free by that counting bound
 and check the gluing set is a clique (so pasting cannot create new
 clique minors); neither searches for a minor.  Direct mode materializes
 the graph for the solver and the degeneracy check.  Compositional mode
-never builds it and checks every color vector blocked.  The lists are
-symmetric in the colors: a permutation of [1,q] that fixes q+1 maps the
-copy for c onto the copy for the permuted c, so one solver run on
-(1,...,r) decides all q!/(q-r)! repetition-free vectors, and every
-vector with a repeated entry is blocked vacuously.  Both modes emit
-JSON certificates.
+never builds it and runs no solver.  With the roots pinned to a proper
+vector c, the pairwise adjacent w_i (plus the apex in case c) may only
+use the q+1-r colors of [1,q+1] that c leaves free, fewer than there
+are of them: a Hall violator for each of the q!/(q-r)! repetition-free
+vectors alike, so (1,...,r) stands for them all, and every vector with
+a repeated entry is blocked vacuously.  Both modes emit JSON
+certificates.
 
 This module is the one place that knows the construction-certificate
 format.  A certificate is accepted by running the verifier that wrote
@@ -50,6 +51,7 @@ from typing import Iterable, Sequence
 
 from .errors import ConstructionRefuted, InvalidArgumentError, ResourceLimitError
 from .graphs import (
+    VERTEX_CAP,
     Graph,
     degeneracy,
     k_1_r_times_2,
@@ -58,8 +60,6 @@ from .graphs import (
 )
 from .listcolor import ListAssignment, l_colorable
 from .minors import counting_bound
-
-VERTEX_CAP = 100_000
 
 CASES = ("a", "b", "c")
 
@@ -167,26 +167,30 @@ def gadget_lists(params: ConstructionParams, c: Sequence[int]) -> ListAssignment
     return ListAssignment.from_lists(q + 1, rows)
 
 
-def gadget_blocked_detail(
-    params: ConstructionParams, c: Sequence[int], timeout: float | None = None
-) -> dict:
+def gadget_blocked_detail(params: ConstructionParams, c: Sequence[int]) -> dict:
     """Decide whether the gadget copy for vector c shuts out the root
-    coloring c.  Vectors repeating a color on the (pairwise adjacent)
-    roots can never arise from a proper coloring and are vacuously
-    blocked, reported as status improper-root without running the
-    solver.  `timeout` is the solver's budget in seconds."""
+    coloring c.  With the roots pinned to c, the w_i (plus the apex in
+    case c) must form a clique whose free colors, each member's list
+    minus the colors of its pinned neighbours, are fewer than its size.
+    A vector repeating a color on the pairwise adjacent roots is
+    vacuously blocked, as status improper-root."""
     vec = check_vector(params, c)
     if not vector_is_proper(vec):
         return {"vector": list(vec), "status": "improper-root", "blocked": True}
     tpl = gadget_template(params)
-    la = gadget_lists(params, vec)
-    pin = {v: ci for (v, _), ci in zip(tpl.pairs, vec)}
-    res = l_colorable(tpl.graph, la, precoloring=pin, timeout=timeout)
+    lists = gadget_lists(params, vec).lists
+    clique = [w for _, w in tpl.pairs] + ([tpl.extra] if tpl.extra is not None else [])
+    free = set()
+    for s in clique:
+        pinned = {ci for (v, _), ci in zip(tpl.pairs, vec) if tpl.graph.adj[s] >> v & 1}
+        free.update(set(lists[s]) - pinned)
+    blocked = tpl.graph.is_clique(clique) and len(free) < len(clique)
     return {
         "vector": list(vec),
-        "status": "blocked" if not res.colorable else "completable",
-        "blocked": not res.colorable,
-        "backtracks": res.backtracks,
+        "status": "blocked" if blocked else "no-obstruction",
+        "blocked": blocked,
+        "clique": clique,
+        "free_colors": sorted(free),
     }
 
 
@@ -385,9 +389,9 @@ def verify_not_colorable(
     Compositional mode checks each color vector's own gadget copy
     blocked (every proper coloring of the roots is some vector, and that
     vector's copy cannot be completed), one representative per class of
-    `color_pattern_classes`, whose sizes must sum to q^r.  Direct mode
-    builds the graph and runs the solver on all of it.  `timeout` is the
-    solver's budget in seconds; only one class ever runs the solver."""
+    `color_pattern_classes`, whose sizes must sum to q^r, each decided
+    by counting.  Direct mode builds the graph and runs the solver on
+    all of it, with `timeout` as its budget in seconds."""
     if mode not in ("direct", "compositional"):
         raise InvalidArgumentError(f"unknown verification mode {mode!r}")
     q, r = params.q, params.r
@@ -414,10 +418,10 @@ def verify_not_colorable(
 
     entries = []
     for cls in color_pattern_classes(params):
-        entry = gadget_blocked_detail(params, cls.representative, timeout=timeout)
+        entry = gadget_blocked_detail(params, cls.representative)
         if not entry["blocked"]:
             raise ConstructionRefuted(
-                f"vector {cls.representative} admits a completion "
+                f"no obstruction found for vector {cls.representative} "
                 f"in case {params.case}, t={params.t}",
                 vector=cls.representative,
             )
@@ -467,9 +471,9 @@ def verify_construction(
 ) -> dict:
     """Full pipeline: minor-freeness plus non-colorability, bundled with
     the instance manifest.  Direct mode materializes the graph (subject
-    to VERTEX_CAP) and adds the degeneracy check.  Minor-freeness is
-    counted, not searched, so `timeout` (seconds) bounds the solver runs
-    of the non-colorability step only."""
+    to VERTEX_CAP) and adds the degeneracy check.  Minor-freeness and
+    compositional non-colorability are counted, not searched, so
+    `timeout` (seconds) bounds only direct mode's solver run."""
     built = build(params) if mode == "direct" else None
     bundle = {
         "kind": "construction-verified",

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 
-from .errors import InvalidArgumentError, ParseError
-from .graphs import Graph
+from .errors import InvalidArgumentError, ParseError, ResourceLimitError
+from .graphs import VERTEX_CAP, Graph
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -118,15 +118,27 @@ def write_adjacency_json(g: Graph) -> str:
     return json.dumps(doc)
 
 
-def read_adjacency_json(text: str) -> Graph:
+def load_json(text: str) -> object:
+    """Parse an input file's JSON text; malformed or too deeply nested
+    JSON raises ParseError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", offset=e.pos) from e
+    except RecursionError as e:
+        raise ParseError("JSON nested too deeply") from e
+
+
+def read_adjacency_json(text: str) -> Graph:
+    """Parse adjacency JSON.  Raises ParseError on malformed input and
+    ResourceLimitError when `n` is above VERTEX_CAP."""
+    doc = load_json(text)
     # ids and counts are ints, and JSON's true and false are not
     if not isinstance(doc, dict) or type(doc.get("n")) is not int:
         raise ParseError("adjacency JSON must be an object with integer 'n'")
     n = doc["n"]
+    if n > VERTEX_CAP:
+        raise ResourceLimitError(f"graph has {n} vertices, cap is {VERTEX_CAP}")
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError("'edges' must be a list of [u, v] pairs")

@@ -17,6 +17,10 @@ from .errors import InvalidArgumentError, PreconditionError
 
 Edge = tuple[int, int]
 
+# the most vertices a construction build or an adjacency-JSON file may
+# have; a graph6 file is bounded by its own size
+VERTEX_CAP = 100_000
+
 
 def _bits(mask: int):
     """Yield the indices of the set bits of `mask`, ascending."""
@@ -132,16 +136,13 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     for s in part_sizes:
         if s <= 0:
             raise InvalidArgumentError(f"class sizes must be positive, got {s}")
-    offsets = [0]
-    for s in part_sizes:
-        offsets.append(offsets[-1] + s)
-    n = offsets[-1]
-    edges = []
-    for a, b in itertools.combinations(range(len(part_sizes)), 2):
-        for u in range(offsets[a], offsets[a + 1]):
-            for v in range(offsets[b], offsets[b + 1]):
-                edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    part_of = [i for i, s in enumerate(part_sizes) for _ in range(s)]
+    n = len(part_of)
+    # generated normalized and in lexicographic order, as from_edges keeps them
+    edges = tuple(
+        (u, v) for u in range(n) for v in range(u + 1, n) if part_of[u] != part_of[v]
+    )
+    return Graph(n=n, edges=edges)
 
 
 def _matched_multipartite(r: int, singletons: int) -> Graph:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InvalidArgumentError, PreconditionError, SearchTimeout
+from .graphio import load_json
 from .graphs import Graph, _bits
 
 # with a timeout the clock is read once per this many backtracks; every
@@ -243,7 +244,7 @@ def l_colorable(
 
 def read_list_assignment(path: str) -> ListAssignment:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = load_json(fh.read())
     return ListAssignment.from_json_dict(doc)
 
 

@@ -47,8 +47,14 @@ class BranchSetWitness:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BranchSetWitness":
-        sets = tuple(tuple(int(v) for v in s) for s in doc["branch_sets"])
-        return cls(branch_sets=sets)
+        """Inverse of `to_json_dict`; InvalidArgumentError unless the
+        branch sets are lists of JSON integers."""
+        raw = doc["branch_sets"]
+        if not isinstance(raw, list) or not all(
+            isinstance(s, list) and all(type(v) is int for v in s) for s in raw
+        ):
+            raise InvalidArgumentError("branch sets must be lists of integer ids")
+        return cls(branch_sets=tuple(tuple(s) for s in raw))
 
 
 @dataclass(frozen=True)

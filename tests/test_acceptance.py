@@ -18,6 +18,8 @@ from unchoosable import (
     build_stats,
     check_certificate,
     gadget_blocked_detail,
+    gadget_lists,
+    gadget_template,
     hadwiger_number,
     has_clique_minor,
     k_1_r_times_2,
@@ -251,10 +253,16 @@ def test_criterion_7v_symmetry_soundness():
             member = tuple(rng.sample(range(1, pp.q + 1), pp.r))
             assert gadget_blocked_detail(pp, rep)["status"] == "blocked"
             assert gadget_blocked_detail(pp, member)["status"] == "blocked"
+            tpl = gadget_template(pp)
+            for vec in (rep, member):
+                pin = {v: ci for (v, _), ci in zip(tpl.pairs, vec)}
+                la = gadget_lists(pp, vec)
+                assert not l_colorable(tpl.graph, la, precoloring=pin).colorable
 
     _report(
         7,
-        "(v) 500 repetition-free vectors re-solve as blocked, like (1,...,r)",
+        "(v) 500 repetition-free vectors blocked, like (1,...,r), and the "
+        "solver agrees",
         body,
     )
 

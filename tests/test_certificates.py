@@ -65,12 +65,22 @@ def test_flipped_witness_vertex_rejected():
     doc = ans.witness.to_json_dict()
     doc["branch_sets"][0][0] = 4  # vertex 4 hangs off the K_4
     assert not check_certificate({"kind": "branch-set-positive", **doc}, g).ok
+    # a vertex id is a JSON integer, not its text, a float or a bool
+    k2 = Graph.from_edges(2, [(0, 1)])
+    for sets in ([["0"], [1]], [[0.0], [1]], [[False], [True]], [0, 1]):
+        cert = {"kind": "branch-set-positive", "branch_sets": sets}
+        assert not check_certificate(cert, k2).ok, sets
 
 
 def test_witness_t_mismatch_rejected():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     cert = {"kind": "branch-set-positive", "t": 2, "branch_sets": [[0], [1], [2]]}
     assert not check_certificate(cert, g).ok
+    # t is a JSON integer too; true once passed for 1 against K_2
+    k2 = Graph.from_edges(2, [(0, 1)])
+    for t, sets in ((True, [[0]]), (1.0, [[0]]), ("1", [[0]]), (True, [["0"]])):
+        cert = {"kind": "branch-set-positive", "t": t, "branch_sets": sets}
+        assert not check_certificate(cert, k2).ok, (t, sets)
 
 
 def test_dropped_class_rejected(bundles):
@@ -221,6 +231,12 @@ A2_CHILD_TAMPERS = [
     ("n changed", lambda c: c.__setitem__("n", c["n"] + 1)),
     ("other t", lambda c: c.__setitem__("t", 3)),
     ("other case", lambda c: c.__setitem__("case", "b")),
+    ("vertex as bool", _on_parts(lambda ps: ps[0].__setitem__(1, True))),
+    ("target as float", lambda c: c.__setitem__("target", float(c["target"]))),
+    ("n as float", lambda c: c.__setitem__("n", float(c["n"]))),
+    ("n as text", lambda c: c.__setitem__("n", str(c["n"]))),
+    ("t as float", lambda c: c.__setitem__("t", float(c["t"]))),
+    ("t as text", lambda c: c.__setitem__("t", str(c["t"]))),
 ]
 
 

@@ -12,8 +12,8 @@ from unchoosable import (
     InvalidArgumentError,
     ListAssignment,
     ParseError,
+    ResourceLimitError,
     build_stats,
-    color_pattern_classes,
     gadget_template,
     params_for,
     read_adjacency_json,
@@ -23,6 +23,7 @@ from unchoosable import (
     write_graph6,
 )
 from unchoosable.cli import main
+from unchoosable.graphs import VERTEX_CAP
 from unchoosable.listcolor import precoloring_from_json_dict
 
 
@@ -217,6 +218,13 @@ def test_color_bad_precolor_is_usage_error(tmp_path, capsys):
         assert code == 2 and err.startswith("error: "), (pins, err)
 
 
+def test_graph_above_vertex_cap_exits_3(tmp_path, capsys):
+    gp = tmp_path / "huge.json"
+    write_text(gp, json.dumps({"n": 1_000_000_000, "edges": []}))
+    code, out, err = run(["degeneracy", "--input", str(gp)], capsys)
+    assert code == 3 and out == "" and err.startswith("resource limit:")
+
+
 def test_degeneracy_command(tmp_path, capsys):
     gp = tmp_path / "t.g6"
     write_graph(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), str(gp))
@@ -308,6 +316,20 @@ def test_usage_error_exits_2(tmp_path, capsys):
             argv = ["color", "--graph", str(gp), "--lists", str(bad)]
         code, _, err = run(argv, capsys)
         assert code == 2 and err.startswith("error: "), (doc, err)
+    # JSON nested past the parser's recursion limit, at every reader
+    deep = tmp_path / "deep.json"
+    write_text(deep, "[" * 100_000 + "]" * 100_000)
+    lp = tmp_path / "lists.json"
+    write_text(lp, json.dumps(lists))
+    for argv in (
+        ["check-cert", "--cert", str(deep)],
+        ["degeneracy", "--input", str(deep)],
+        ["color", "--graph", str(gp), "--lists", str(deep)],
+        ["color", "--graph", str(gp), "--lists", str(lp), "--precolor", str(deep)],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 2 and err.startswith("error: "), (argv, err)
+        assert "nested too deeply" in err
 
 
 JSON = st.recursive(
@@ -347,7 +369,8 @@ PRECOLOR_DOCS = near(st.dictionaries(IDS, near(st.integers(-1, 4))))
 @given(lists=LIST_DOCS, graph=GRAPH_DOCS, precolor=PRECOLOR_DOCS)
 def test_readers_raise_only_input_errors(lists, graph, precolor):
     """Each input reader turns any JSON value into a value or an input
-    error (exit 2), never another exception (exit 3)."""
+    error (exit 2), never another exception (exit 3); the one resource
+    limit is a graph of more than VERTEX_CAP vertices."""
     for read, doc in (
         (ListAssignment.from_json_dict, lists),
         (lambda d: read_adjacency_json(json.dumps(d)), graph),
@@ -357,6 +380,8 @@ def test_readers_raise_only_input_errors(lists, graph, precolor):
             read(doc)
         except (ParseError, InvalidArgumentError):
             pass
+        except ResourceLimitError:
+            assert doc is graph and doc["n"] > VERTEX_CAP
 
 
 def assert_internal_failure(code, err):
@@ -394,29 +419,16 @@ def test_solver_recursion_exits_3(tmp_path, capsys):
 
 
 def test_check_cert_timeout_bounds_the_re_solve(tmp_path, capsys):
-    # a b t=5 bundle as verify writes it; re-solving its (1,...,r) class
-    # takes several seconds, and the counting-bound child none
-    params = params_for("b", 5)
-    classes = [
-        {
-            "representative": list(c.representative),
-            "size": c.size,
-            "status": "blocked" if len(set(c.representative)) == params.r
-            else "improper-root",
-            "blocked": True,
-        }
-        for c in color_pattern_classes(params)
-    ]
+    # a direct-mode b2 bundle: the replay builds the 5188-vertex graph and
+    # solves it, which takes several seconds; the counting-bound child
+    # and the manifest take none.  Compositional bundles run no solver.
+    params = params_for("b", 2)
     bundle = {
         "kind": "construction-verified",
-        "manifest": build_stats(params).manifest("stats-only"),
-        "children": [
-            verify_minor_free(params),
-            {"kind": "non-colorability", "case": "b", "t": 5, "mode": "compositional",
-             "classes": classes, "covered": params.q**params.r},
-        ],
+        "manifest": build_stats(params).manifest("full"),
+        "children": [verify_minor_free(params)],
     }
-    cp = tmp_path / "b5.json"
+    cp = tmp_path / "b2.json"
     write_text(cp, json.dumps(bundle))
     t0 = time.monotonic()
     code, _, err = run(["check-cert", "--cert", str(cp), "--timeout", "0.5"], capsys)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -129,9 +130,11 @@ def test_gadget_blocked_examples():
 def test_gadget_blocked_detail_statuses():
     proper = gadget_blocked_detail(params_for("b", 1), (2, 1))
     assert proper["status"] == "blocked" and proper["blocked"]
+    # w_1, w_2 (ids 1, 3) may only use color 3, and they are adjacent
+    assert proper["clique"] == [1, 3] and proper["free_colors"] == [3]
     improper = gadget_blocked_detail(params_for("b", 1), (2, 2))
     assert improper["status"] == "improper-root" and improper["blocked"]
-    assert "backtracks" not in improper
+    assert "clique" not in improper and "free_colors" not in improper
 
 
 def test_gadget_open_to_other_root_colorings():
@@ -144,15 +147,27 @@ def test_gadget_open_to_other_root_colorings():
     assert l_colorable(tpl.graph, la, precoloring=other).colorable
 
 
+def solver_blocks(pp, vec, timeout=None) -> bool:
+    """The solver's own verdict on the gadget copy for vec, roots pinned."""
+    tpl = gadget_template(pp)
+    pin = {v: ci for (v, _), ci in zip(tpl.pairs, vec)}
+    la = gadget_lists(pp, vec)
+    return not l_colorable(tpl.graph, la, precoloring=pin, timeout=timeout).colorable
+
+
 def test_every_vector_blocked_at_t1():
-    # solving every vector separately must give the orbit certificate's
-    # statuses, with as many vectors per status as its class sizes
+    # deciding every vector separately must give the orbit certificate's
+    # statuses, with as many vectors per status as its class sizes, and
+    # the solver must find no completion of any proper vector's copy
     for case, t in [("a", 1), ("b", 1), ("c", 1), ("b", 2), ("c", 2)]:
         pp = params_for(case, t)
         vectors = list(itertools.product(range(1, pp.q + 1), repeat=pp.r))
         statuses = collections.Counter(
             gadget_blocked_detail(pp, vec)["status"] for vec in vectors
         )
+        for vec in vectors:
+            if len(set(vec)) == pp.r:
+                assert solver_blocks(pp, vec), (case, t, vec)
         cert = verify_not_colorable(pp, mode="compositional")
         assert statuses == {e["status"]: e["size"] for e in cert["classes"]}
         assert all(e["blocked"] for e in cert["classes"])
@@ -347,7 +362,35 @@ def test_exhaustive_search_agrees_with_counting_bound(row):
 def test_gadget_solver_honours_timeout():
     pp = params_for("b", 5)  # the (1,...,r) solve takes several seconds
     with pytest.raises(SearchTimeout):
-        gadget_blocked_detail(pp, range(1, pp.r + 1), timeout=0.2)
+        solver_blocks(pp, range(1, pp.r + 1), timeout=0.2)
+
+
+def test_compositional_verify_and_check_run_no_solver(monkeypatch):
+    import unchoosable.construction as cons
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("compositional mode ran the list-coloring solver")
+
+    monkeypatch.setattr(cons, "l_colorable", no_solver)
+    for case, t in [("a", 2), ("b", 3), ("c", 3), ("a", 5), ("b", 5), ("c", 5)]:
+        bundle = verify_construction(params_for(case, t), mode="compositional")
+        res = check_certificate(json.loads(json.dumps(bundle)))
+        assert res.ok, (case, t, res.reason)
+
+
+def test_obstruction_blocks_every_row_up_to_t100():
+    # the pairwise adjacent w_i (plus the apex in case c) keep q+1-r
+    # colors, one fewer than there are of them.  t <= 33 covers every
+    # p <= 100; then t = 100.  The gadget has O(t^2) edges, and every
+    # t <= 100 would take longer than the rest of the suite.
+    for case in "abc":
+        for t in [*range(1, 34), 100]:
+            pp = params_for(case, t)
+            entry = gadget_blocked_detail(pp, range(1, pp.r + 1))
+            size = pp.r + (case == "c")
+            assert entry["status"] == "blocked" and entry["blocked"], (case, t)
+            assert len(entry["clique"]) == size, (case, t)
+            assert len(entry["free_colors"]) == pp.q + 1 - pp.r == size - 1, (case, t)
 
 
 def test_verify_minor_free_rejects_rows_the_bound_does_not_settle():
@@ -392,14 +435,14 @@ def test_verify_not_colorable_refutes_unblocked_gadget(monkeypatch):
 
     real = cons.gadget_blocked_detail
 
-    def fake(params, c, timeout=None):
-        detail = real(params, c, timeout=timeout)
+    def fake(params, c):
+        detail = real(params, c)
         if tuple(c) == (1, 2):
-            detail = dict(detail, status="completable", blocked=False)
+            detail = dict(detail, status="no-obstruction", blocked=False)
         return detail
 
     monkeypatch.setattr(cons, "gadget_blocked_detail", fake)
-    with pytest.raises(ConstructionRefuted) as err:
+    with pytest.raises(ConstructionRefuted, match="no obstruction found") as err:
         cons.verify_not_colorable(params_for("b", 1), mode="compositional")
     assert err.value.vector == (1, 2)
 
@@ -484,3 +527,4 @@ def test_symmetry_soundness_sampled():
         member = tuple(perm[x - 1] for x in rep)
         assert gadget_blocked_detail(pp, rep)["status"] == "blocked"
         assert gadget_blocked_detail(pp, member)["status"] == "blocked"
+        assert solver_blocks(pp, rep) and solver_blocks(pp, member)

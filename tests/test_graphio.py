@@ -7,6 +7,7 @@ import pytest
 from unchoosable import (
     Graph,
     ParseError,
+    ResourceLimitError,
     read_adjacency_json,
     read_graph,
     read_graph6,
@@ -14,6 +15,8 @@ from unchoosable import (
     write_graph,
     write_graph6,
 )
+
+from unchoosable.graphs import VERTEX_CAP
 
 from conftest import random_graph
 
@@ -124,6 +127,15 @@ def test_adjacency_json_rejects_bad_documents():
         read_adjacency_json("{nope")
     with pytest.raises(ParseError):
         read_adjacency_json('[1, 2]')
+
+
+def test_adjacency_json_caps_the_vertex_count():
+    cap = '{"n": %d, "edges": []}'
+    assert read_adjacency_json(cap % VERTEX_CAP).n == VERTEX_CAP
+    with pytest.raises(ResourceLimitError, match="cap is"):
+        read_adjacency_json(cap % (VERTEX_CAP + 1))
+    with pytest.raises(ResourceLimitError):
+        read_adjacency_json(cap % 10**9)
 
 
 def test_file_roundtrip_by_extension(tmp_path):
