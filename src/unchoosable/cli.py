@@ -84,7 +84,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     params = params_for(args.case, args.t)
     try:
-        cert = verify_construction(params, mode=args.mode)
+        cert = verify_construction(params, mode=args.mode, timeout=args.timeout)
     except ConstructionRefuted as exc:
         print(f"refuted: {exc}", file=sys.stderr)
         return 1
@@ -247,6 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["direct", "compositional"],
                    default="compositional")
     p.add_argument("--cert", help="write the certificate here (JSON)")
+    p.add_argument("--timeout", type=_seconds,
+                   help="budget in seconds for direct mode's solver run, the "
+                   "only search verify makes")
 
     p = add("minor", _cmd_minor, help="exact clique-minor search")
     p.add_argument("--input", required=True, help="graph file (.g6 or .json)")

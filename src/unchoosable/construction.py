@@ -158,13 +158,21 @@ def gadget_lists(params: ConstructionParams, c: Sequence[int]) -> ListAssignment
     """Lists over the template: w_i avoids c_i within [1,q+1], every
     other vertex gets [1,q]."""
     vec = check_vector(params, c)
-    tpl = gadget_template(params)
-    q = params.q
-    full = list(range(1, q + 1))
-    rows: list[list[int]] = [full] * tpl.graph.n
-    for (v, w), ci in zip(tpl.pairs, vec):
-        rows[w] = [x for x in range(1, q + 2) if x != ci]
-    return ListAssignment.from_lists(q + 1, rows)
+    return ListAssignment.from_lists(
+        params.q + 1, _gadget_rows(params, gadget_template(params), vec)
+    )
+
+
+def _gadget_rows(
+    params: ConstructionParams, tpl: GadgetTemplate, vec: tuple[int, ...]
+) -> list[list[int]]:
+    """The rows of `gadget_lists` over a template already built, for a
+    vector already checked; sorted, in range, not validated again."""
+    full = list(range(1, params.q + 1))
+    rows = [full] * tpl.graph.n
+    for (_, w), ci in zip(tpl.pairs, vec):
+        rows[w] = [x for x in range(1, params.q + 2) if x != ci]
+    return rows
 
 
 def gadget_blocked_detail(params: ConstructionParams, c: Sequence[int]) -> dict:
@@ -178,7 +186,7 @@ def gadget_blocked_detail(params: ConstructionParams, c: Sequence[int]) -> dict:
     if not vector_is_proper(vec):
         return {"vector": list(vec), "status": "improper-root", "blocked": True}
     tpl = gadget_template(params)
-    lists = gadget_lists(params, vec).lists
+    lists = _gadget_rows(params, tpl, vec)
     clique = [w for _, w in tpl.pairs] + ([tpl.extra] if tpl.extra is not None else [])
     free = set()
     for s in clique:

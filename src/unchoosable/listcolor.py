@@ -1,13 +1,24 @@
-"""List-coloring decisions on small graphs.
+"""List-coloring decisions.
 
 A list assignment gives every vertex a finite set of allowed colors.
 The graph is L-colorable when a proper coloring exists that draws each
 vertex's color from its own list.  The backtracking solver carries
 per-vertex domains as bitmasks (color c lives at bit c-1), picks the
-smallest remaining domain first, forward-checks neighbors, and splits
-the uncolored subgraph into connected components so independent parts
-never multiply.  All domain edits go through one global trail so a
-failing component rolls back its siblings' work too.
+smallest remaining domain first (lowest id on ties, from one vertex
+mask per domain size), forward-checks neighbors, and solves the
+connected components of the uncolored subgraph one at a time, so
+independent parts never multiply.
+
+The search keeps an explicit stack and never recurses, so its depth is
+not bounded by Python's recursion limit.  Pending components sit on a
+persistent goal list; when a component is solved, a cut marker behind
+it drops the choice points made inside it, and a later failure backs
+up to the vertex whose coloring split it off.  After a vertex is
+colored, the rest of its component is re-split only when that vertex
+was a cut vertex: it had two or more uncolored neighbors and a search
+from one of them does not reach all the others.  All domain edits go
+through one global trail so a failing component rolls back its
+siblings' work too.
 """
 
 from __future__ import annotations
@@ -145,101 +156,127 @@ def l_colorable(
                     f"precoloring pins vertex {v} to {c}, not in its list"
                 )
             domains[v] = 1 << (c - 1)
+    if not all(domains):
+        return SolveResult(False, None, 0)
 
     adj = g.adj
-    colored = [False] * g.n
     result = [0] * g.n
+    # by_size[k]: the vertices whose domain has k colors.  Forward
+    # checking never empties a domain, so by_size[0] stays 0.
+    by_size = [0] * (max((d.bit_count() for d in domains), default=0) + 1)
+    for v, d in enumerate(domains):
+        by_size[d.bit_count()] |= 1 << v
     trail: list[tuple[int, int]] = []  # (vertex, previous domain)
+    # a choice point: [vertex, untried colors, trail mark, live neighbours,
+    # goals once the vertex is colored]
+    choices: list[list] = []
     backtracks = 0
 
-    def set_domain(v: int, mask: int) -> None:
-        trail.append((v, domains[v]))
-        domains[v] = mask
-
-    def rewind(mark: int) -> None:
-        while len(trail) > mark:
-            v, old = trail.pop()
-            domains[v] = old
-
-    def assign(v: int, bit: int) -> bool:
-        # returns False if a neighbor domain empties
-        colored[v] = True
-        result[v] = bit.bit_length()
-        for u in _bits(adj[v]):
-            if not colored[u] and domains[u] & bit:
-                left = domains[u] & ~bit
-                if not left:
-                    return False
-                set_domain(u, left)
-        return True
-
-    def components(live_mask: int) -> list[int]:
-        comps = []
-        rest = live_mask
-        while rest:
-            comp = rest & -rest
-            while True:
-                grow = 0
-                for v in _bits(comp):
-                    grow |= adj[v]
-                grow &= rest & ~comp
-                if not grow:
+    goals = _push_parts(_split(adj, (1 << g.n) - 1), ~0, None)
+    while goals is not None:
+        comp, goals = goals
+        if comp < 0:  # a part of a split is solved: drop its choice points
+            del choices[~comp:]
+            continue
+        # smallest domain first, lowest id on ties
+        k = 1
+        while not by_size[k] & comp:
+            k += 1
+        low = by_size[k] & comp
+        low &= -low
+        v = low.bit_length() - 1
+        rest = comp ^ low
+        live = adj[v] & rest
+        # the rest stays connected unless v was a cut vertex; its parts
+        # cut back to just above v's choice point, pushed next
+        if not rest:
+            after = goals
+        elif not live & (live - 1) or _reaches_all(adj, rest, live):
+            after = (rest, goals)
+        else:
+            after = _push_parts(_split(adj, rest), ~(len(choices) + 1), goals)
+        cp = [v, domains[v], len(trail), tuple(_bits(live)), after]
+        choices.append(cp)
+        # descend into the first color that survives forward checking,
+        # backing up the choice points as their colors run out
+        while True:
+            untried = cp[1]
+            if untried:
+                bit = untried & -untried
+                cp[1] = untried ^ bit
+                result[cp[0]] = bit.bit_length()
+                for u in cp[3]:
+                    d = domains[u]
+                    if d & bit:
+                        if d == bit:
+                            break
+                        trail.append((u, d))
+                        domains[u] = d ^ bit
+                        k, ub = d.bit_count(), 1 << u
+                        by_size[k] ^= ub
+                        by_size[k - 1] ^= ub
+                else:
+                    goals = cp[4]
                     break
-                comp |= grow
-            comps.append(comp)
-            rest &= ~comp
-        return comps
-
-    def solve(live_mask: int) -> bool:
-        nonlocal backtracks
-        if live_mask == 0:
-            return True
-        parts = components(live_mask)
-        if len(parts) > 1:
-            mark = len(trail)
-            undo: list[int] = []
-            for comp in parts:
-                if not solve(comp):
-                    for v in undo:
-                        colored[v] = False
-                    rewind(mark)
-                    return False
-                undo.extend(_bits(comp))
-            return True
-        comp = parts[0]
-        best, best_count = -1, 1 << 62
-        for v in _bits(comp):
-            cnt = domains[v].bit_count()
-            if cnt < best_count:
-                best, best_count = v, cnt
-                if cnt <= 1:
-                    break
-        if best_count == 0:
-            return False
-        v = best
-        rest = comp & ~(1 << v)
-        dom = domains[v]
-        for c in _bits(dom):
-            bit = 1 << c
-            mark = len(trail)
-            if assign(v, bit) and solve(rest):
-                return True
-            colored[v] = False
-            rewind(mark)
+            else:
+                choices.pop()
+                if not choices:
+                    return SolveResult(False, None, backtracks)
+                cp = choices[-1]
+            mark = cp[2]
+            while len(trail) > mark:
+                u, d = trail.pop()
+                domains[u] = d
+                k, ub = d.bit_count(), 1 << u
+                by_size[k] ^= ub
+                by_size[k - 1] ^= ub
             backtracks += 1
             if deadline is not None and backtracks % _TIMEOUT_CHECK_EVERY == 0:
                 if time.monotonic() > deadline:
                     raise SearchTimeout("coloring search exceeded its time budget")
-        return False
+    return SolveResult(True, tuple(result), backtracks)
 
-    live = 0
-    for v in range(g.n):
-        if domains[v] == 0:
-            return SolveResult(False, None, 0)
-        live |= 1 << v
-    if solve(live):
-        return SolveResult(True, tuple(result), backtracks)
-    return SolveResult(False, None, backtracks)
+
+def _reaches_all(adj: tuple[int, ...], within: int, targets: int) -> bool:
+    """Whether one connected part of `within` holds every vertex of
+    `targets`: grow from the lowest target, stopping once all are met."""
+    frontier = targets & -targets
+    todo = within ^ frontier
+    while frontier:
+        grow = 0
+        for u in _bits(frontier):
+            grow |= adj[u]
+        frontier = grow & todo
+        todo ^= frontier
+        if not targets & todo:
+            return True
+    return False
+
+
+def _split(adj: tuple[int, ...], within: int) -> list[int]:
+    """The connected parts of `within`, by lowest vertex, each grown by
+    a frontier BFS."""
+    parts = []
+    while within:
+        frontier = comp = within & -within
+        within ^= comp
+        while frontier:
+            grow = 0
+            for u in _bits(frontier):
+                grow |= adj[u]
+            frontier = grow & within
+            within ^= frontier
+            comp |= frontier
+        parts.append(comp)
+    return parts
+
+
+def _push_parts(parts: list[int], cut: int, goals: tuple | None) -> tuple | None:
+    """Put `parts` on the goal list in order, each followed by the cut
+    marker `cut` (~height of the choice stack to cut back to)."""
+    for comp in reversed(parts):
+        goals = (comp, (cut, goals))
+    return goals
 
 
 def read_list_assignment(path: str) -> ListAssignment:

@@ -14,6 +14,7 @@ from unchoosable import (
     ParseError,
     ResourceLimitError,
     build_stats,
+    check_coloring,
     gadget_template,
     params_for,
     read_adjacency_json,
@@ -22,9 +23,10 @@ from unchoosable import (
     verify_minor_free,
     write_graph6,
 )
+from unchoosable import cli
 from unchoosable.cli import main
 from unchoosable.graphs import VERTEX_CAP
-from unchoosable.listcolor import precoloring_from_json_dict
+from unchoosable.listcolor import precoloring_from_json_dict, read_list_assignment
 
 
 def run(argv, capsys):
@@ -399,11 +401,13 @@ def test_bigint_overflow_exits_2(capsys):
     assert f"{sys.get_int_max_str_digits()}-digit" in err
 
 
-def test_solver_recursion_exits_3(tmp_path, capsys):
+def test_color_long_path_needs_no_recursion(tmp_path, capsys):
     gp = tmp_path / "path.g6"
     lp = tmp_path / "lists.json"
+    cp = tmp_path / "coloring.json"
     n = 300
-    write_graph(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]), str(gp))
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    write_graph(g, str(gp))
     write_text(
         lp,
         json.dumps({"palette_size": 2, "lists": {str(v): [1, 2] for v in range(n)}}),
@@ -411,11 +415,44 @@ def test_solver_recursion_exits_3(tmp_path, capsys):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
     try:
-        code, _, err = run(["color", "--graph", str(gp), "--lists", str(lp)], capsys)
+        code, _, err = run(
+            ["color", "--graph", str(gp), "--lists", str(lp), "--coloring", str(cp)],
+            capsys,
+        )
     finally:
         sys.setrecursionlimit(limit)
+    assert code == 0 and err == ""
+    coloring = json.loads(cp.read_text(encoding="utf-8"))["coloring"]
+    assert check_coloring(g, read_list_assignment(str(lp)), coloring)
+
+
+def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
+    gp = tmp_path / "edge.g6"
+    lp = tmp_path / "lists.json"
+    write_graph(Graph.from_edges(2, [(0, 1)]), str(gp))
+    write_text(lp, json.dumps({"palette_size": 2, "lists": {"0": [1, 2], "1": [1, 2]}}))
+
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "l_colorable", crash)
+    code, _, err = run(["color", "--graph", str(gp), "--lists", str(lp)], capsys)
     assert_internal_failure(code, err)
     assert "RecursionError" in err
+
+
+def test_verify_timeout_exits_3(capsys):
+    # b2 direct: a 5188-vertex graph whose refutation search runs for
+    # seconds; the budget stops it with one line and no traceback
+    t0 = time.monotonic()
+    code, out, err = run(
+        ["verify", "--case", "b", "--t", "2", "--mode", "direct", "--timeout", "0.5"],
+        capsys,
+    )
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("resource limit: ")
+    assert "Traceback" not in err
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_check_cert_timeout_bounds_the_re_solve(tmp_path, capsys):

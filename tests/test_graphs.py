@@ -6,11 +6,13 @@ from unchoosable import (
     Graph,
     InvalidArgumentError,
     PreconditionError,
+    build,
     complete_multipartite,
     degeneracy,
     k_1_r_times_2,
     k_r_times_2,
     matching_pairs,
+    params_for,
     paste,
 )
 
@@ -161,3 +163,34 @@ def test_degeneracy_matches_subgraph_oracle():
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
         assert degeneracy(g).degeneracy == oracle_degeneracy(g)
+
+
+def naive_elimination_order(g: Graph) -> tuple[int, ...]:
+    # remove the alive vertex of least (degree, id), one linear scan each
+    nbr = [set(g.neighbors(v)) for v in range(g.n)]
+    alive = set(range(g.n))
+    order = []
+    while alive:
+        v = min(alive, key=lambda u: (len(nbr[u] & alive), u))
+        alive.remove(v)
+        order.append(v)
+    return tuple(order)
+
+
+def test_degeneracy_order_matches_naive_scan():
+    rng = random.Random(403)
+    graphs = [
+        random_graph(rng, rng.randint(0, 40), rng.choice([0.05, 0.15, 0.4, 0.9]))
+        for _ in range(150)
+    ]
+    graphs.append(build(params_for("c", 2))[0])
+    for g in graphs:
+        res = degeneracy(g)
+        order = naive_elimination_order(g)
+        assert res.elimination_order == order
+        alive = set(range(g.n))
+        most = 0
+        for v in order:
+            alive.remove(v)
+            most = max(most, len(set(g.neighbors(v)) & alive))
+        assert res.degeneracy == most

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import time
 
 import pytest
 
@@ -8,9 +10,12 @@ from unchoosable import (
     InvalidArgumentError,
     ListAssignment,
     PreconditionError,
+    build,
     check_coloring,
     l_colorable,
+    params_for,
 )
+from unchoosable.construction import verify_not_colorable
 
 from conftest import oracle_list_colorable, random_graph, random_lists
 
@@ -141,3 +146,125 @@ def test_solver_matches_product_oracle():
         assert res.colorable == want
         if res.colorable:
             assert check_coloring(g, la, res.coloring)
+
+
+# The solver's search tree is part of what a direct-mode certificate
+# records (its backtrack count), so these figures are pinned: a faster
+# solver must make the same choices in the same order.
+DIRECT_CERTIFICATES = {
+    ("b", 1): {"q": 2, "r": 2, "n": 10, "palette_size": 3, "backtracks": 6},
+    ("c", 1): {"q": 1, "r": 1, "n": 3, "palette_size": 2, "backtracks": 1},
+    ("a", 1): {"q": 4, "r": 3, "n": 195, "palette_size": 5, "backtracks": 136},
+    ("c", 2): {"q": 5, "r": 3, "n": 503, "palette_size": 6, "backtracks": 685},
+}
+
+
+@pytest.mark.parametrize("case,t", list(DIRECT_CERTIFICATES))
+def test_direct_search_tree_is_pinned(case, t):
+    pp = params_for(case, t)
+    g, la = build(pp)
+    want = DIRECT_CERTIFICATES[case, t]
+    res = l_colorable(g, la)
+    assert not res.colorable and res.backtracks == want["backtracks"]
+    cert = verify_not_colorable(pp, mode="direct", built=(g, la))
+    assert json.dumps(cert) == json.dumps(
+        {
+            "kind": "non-colorability",
+            "case": case,
+            "t": t,
+            "q": want["q"],
+            "r": want["r"],
+            "mode": "direct",
+            "n": want["n"],
+            "palette_size": want["palette_size"],
+            "backtracks": want["backtracks"],
+            "total_vectors": want["q"] ** want["r"],
+        }
+    )
+
+
+def test_solver_with_precoloring_matches_product_oracle():
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.7]))
+        palette = rng.randint(1, 4)
+        lists = random_lists(rng, n, palette, palette)
+        pins = {v: rng.choice(lists[v]) for v in range(n) if rng.random() < 0.25}
+        pinned = [[pins[v]] if v in pins else lists[v] for v in range(n)]
+        la = ListAssignment.from_lists(palette, lists)
+        res = l_colorable(g, la, precoloring=pins)
+        assert res.colorable == oracle_list_colorable(g, pinned)
+        if res.colorable:
+            assert check_coloring(g, la, res.coloring)
+            assert all(res.coloring[v] == c for v, c in pins.items())
+
+
+def test_odd_cycle_refuted_in_milliseconds():
+    g, la = cycle(99), uniform(99, 2, 2)
+    g.adj  # noqa: B018 - build the masks outside the timed runs
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        res = l_colorable(g, la)
+        times.append(time.perf_counter() - t0)
+    assert not res.colorable
+    assert min(times) < 0.005, times
+    assert res.backtracks == 196
+
+
+def test_long_path_needs_no_recursion():
+    n = 20_000
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    la = uniform(n, 2, 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        res = l_colorable(g, la)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.colorable and check_coloring(g, la, res.coloring)
+    assert res.coloring[:4] == (1, 2, 1, 2) and res.backtracks == 0
+
+
+def test_vertex_choice_does_not_scan_the_component():
+    # with three colors per vertex no domain is ever down to one color
+    # ahead of the search, so a choice that scanned the uncolored
+    # component for the smallest domain would make this path cubic
+    n = 20_000
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    la = uniform(n, 3, 3)
+    t0 = time.perf_counter()
+    res = l_colorable(g, la)
+    assert time.perf_counter() - t0 < 3.0
+    assert res.colorable and check_coloring(g, la, res.coloring)
+
+
+def test_search_tree_on_sparse_random_graphs_is_pinned():
+    # totals over 200 sparse graphs of 10-40 vertices, as the recursive
+    # solver this one replaced counted them
+    rng = random.Random(67)
+    backtracks = colorable = 0
+    for _ in range(200):
+        n = rng.randint(10, 40)
+        g = random_graph(rng, n, 3.0 / n)
+        la = ListAssignment.from_lists(4, random_lists(rng, n, 4, 3))
+        res = l_colorable(g, la)
+        backtracks += res.backtracks
+        if res.colorable:
+            colorable += 1
+            assert check_coloring(g, la, res.coloring)
+    assert (backtracks, colorable) == (548, 47)
+
+
+def test_cut_vertex_splits_the_rest():
+    # the leaf 2 is pinned to 1, so the centre takes 2 and its other
+    # leaves become four independent parts, each solved once
+    g = Graph.from_edges(6, [(0, v) for v in range(1, 6)])
+    lists = [[1, 2], [1, 2], [1], [1, 2], [1, 2], [1, 2]]
+    res = l_colorable(g, ListAssignment.from_lists(2, lists))
+    assert res.colorable and res.coloring == (2, 1, 1, 1, 1, 1)
+    assert res.backtracks == 0
+    lists[5] = [2]  # the centre's one color: it fails, then leaf 2 does
+    res = l_colorable(g, ListAssignment.from_lists(2, lists))
+    assert not res.colorable and res.backtracks == 2
