@@ -8,7 +8,6 @@ serialization is canonical.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -98,8 +97,11 @@ class Graph:
         return tuple(_bits(self.adj[v]))
 
     def is_clique(self, vertices: Sequence[int]) -> bool:
+        """True iff `vertices` are distinct and pairwise adjacent."""
         vs = list(vertices)
-        return all(self.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
+        s = sum(1 << v for v in set(vs))  # a repeat makes len(vs) exceed its bits
+        adj = self.adj
+        return len(vs) == s.bit_count() and all((adj[v] | 1 << v) & s == s for v in vs)
 
     def check_vertices(self, vertices: Sequence[int]) -> tuple[int, ...]:
         """Validate a duplicate-free vertex set; returns it as given."""

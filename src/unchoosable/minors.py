@@ -2,19 +2,31 @@
 
 A K_t minor is witnessed by t pairwise-disjoint vertex sets (branch sets),
 each inducing a connected subgraph, every pair joined by at least one
-edge.  Two complete search strategies are provided:
+edge.  `has_clique_minor` first shrinks the graph with two rules, applied
+until neither does anything, and keeps for each vertex left the input
+vertices merged into it, so that a witness maps back to the input:
 
-* branch-set growth: vertices are considered in ascending id and either
-  discarded or appended to one of the t sets, with sound pruning rules
-  (capacity, stranded components, unfixable set pairs).  Symmetry among
-  the unordered sets is broken by requiring set k to be opened by the
-  smallest vertex it will ever contain, with opening order 0..t-1.
-* contraction enumeration: grow a partition of the vertex set by merging
-  adjacent blocks (depth-first, memoized on the block partition) until
-  t blocks form a clique in the quotient.  Preferred when n - t is small,
-  where only a few merges need exploring.
+* (a) delete a simplicial vertex v of degree below t-1.  As a singleton
+  branch set v would need t-1 neighbours.  Inside a larger branch set
+  its neighbours there are pairwise adjacent, so the set stays connected
+  without v, and any edge from v to another set also leaves from a
+  neighbour of v in its own set.  This deletes isolated vertices for
+  t >= 2 and leaves for t >= 3, so trees and paths vanish.
+* (b) for t >= 4, contract a degree-2 vertex v into its lower neighbour
+  a, which inherits v's edge to the other neighbour b.  The result is a
+  minor, so a K_t found there is one of the input.  Conversely v is no
+  singleton (that needs degree 3).  An unused v, or one sharing its set
+  with a, disappears into the contraction; otherwise v is a leaf of its
+  set hanging off b, and a's new edge to b replaces v's.  Long cycles
+  contract to a triangle, which (a) then deletes.
 
-Both are exhaustive; answers never depend on the strategy.
+Then one complete search runs on what is left: vertices are considered
+in ascending id and either discarded or appended to one of the t sets,
+with sound pruning rules (capacity, stranded components, unfixable set
+pairs).  Symmetry among the unordered sets is broken by requiring set k
+to be opened by the smallest vertex it will ever contain, with opening
+order 0..t-1.  The reductions are a loop; the search recurses once per
+vertex of the reduced graph.
 
 `counting_bound` is the cheap negative side: a partition of the vertex
 set into k independent sets caps every clique minor at floor((n+k)/2),
@@ -62,7 +74,6 @@ class MinorAnswer:
     contains: bool
     witness: BranchSetWitness | None
     nodes: int
-    elapsed: float
 
 
 class _Stats:
@@ -124,41 +135,28 @@ def _connected(adj: Sequence[int], mask: int) -> bool:
     return comp == mask
 
 
-def has_clique_minor(
-    g: Graph,
-    t: int,
-    strategy: str = "auto",
-    timeout: float | None = None,
-) -> MinorAnswer:
+def has_clique_minor(g: Graph, t: int, *, timeout: float | None = None) -> MinorAnswer:
     """Exact decision: does `g` contain a K_t minor?
 
-    `strategy` is one of 'auto', 'branch', 'contract'; it never changes
-    the answer, only the search path.  With a `timeout` (seconds), raises
-    SearchTimeout instead of guessing.
+    Reduces `g` and searches what is left (see the module docstring);
+    the witness names vertices of `g`.  With a `timeout` (seconds),
+    raises SearchTimeout instead of guessing.
     """
     if t <= 0:
         raise InvalidArgumentError(f"clique order must be positive, got {t}")
-    if strategy not in ("auto", "branch", "contract"):
-        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    start = time.monotonic()
-    deadline = None if timeout is None else start + timeout
-    stats = _Stats(deadline)
-
+    stats = _Stats(None if timeout is None else time.monotonic() + timeout)
     if t > g.n or g.m < t * (t - 1) // 2:
-        return MinorAnswer(False, None, 0, time.monotonic() - start)
-
-    if strategy == "auto":
-        strategy = "contract" if g.n - t <= 3 else "branch"
-    if strategy == "contract":
-        masks = _contract_search(g.adj, g.n, t, stats)
-    else:
-        masks = _grow_search(g.adj, g.n, t, stats)
-
-    elapsed = time.monotonic() - start
+        return MinorAnswer(False, None, 0)
+    adj, members = _reduce(g.adj, g.n, t)
+    if t > len(adj) or sum(a.bit_count() for a in adj) // 2 < t * (t - 1) // 2:
+        return MinorAnswer(False, None, 0)
+    masks = _grow_search(adj, len(adj), t, stats)
     if masks is None:
-        return MinorAnswer(False, None, stats.nodes, elapsed)
-    witness = BranchSetWitness(tuple(tuple(_bits(m)) for m in masks))
-    return MinorAnswer(True, witness, stats.nodes, elapsed)
+        return MinorAnswer(False, None, stats.nodes)
+    branch_sets = tuple(
+        tuple(sorted(v for i in _bits(mask) for v in members[i])) for mask in masks
+    )
+    return MinorAnswer(True, BranchSetWitness(branch_sets), stats.nodes)
 
 
 def counting_bound(g: Graph, parts: Sequence[Sequence[int]]) -> int | None:
@@ -200,7 +198,66 @@ def hadwiger_number(g: Graph, timeout: float | None = None) -> int:
     return best
 
 
-# --- strategy 1: branch-set growth -----------------------------------------
+# --- reductions ------------------------------------------------------------
+#
+# Each rule edits `adj` and `members` (the input vertices each vertex
+# stands for; empty once it is gone) in place and returns the vertices
+# whose rule may now apply.  A rule that does not apply changes nothing.
+
+
+def _delete_simplicial(adj: list[int], members: list[list[int]], v: int, t: int) -> int:
+    """Rule (a): delete v if its neighbourhood is a clique of fewer than
+    t-1 vertices."""
+    nv = adj[v]
+    if nv.bit_count() >= t - 1 or any((adj[u] | 1 << u) & nv != nv for u in _bits(nv)):
+        return 0
+    for u in _bits(nv):
+        adj[u] &= ~(1 << v)
+    adj[v] = 0
+    members[v] = []
+    return nv
+
+
+def _contract_degree_two(
+    adj: list[int], members: list[list[int]], v: int, t: int
+) -> int:
+    """Rule (b), t >= 4: contract v of degree 2 into its lower neighbour
+    a, which inherits v's edge to the other neighbour b."""
+    if t < 4 or adj[v].bit_count() != 2:
+        return 0
+    a, b = _bits(adj[v])
+    adj[a] = adj[a] & ~(1 << v) | 1 << b
+    adj[b] = adj[b] & ~(1 << v) | 1 << a
+    adj[v] = 0
+    members[a] += members[v]
+    members[v] = []
+    # a and b changed, and so did the neighbourhoods containing both
+    return 1 << a | 1 << b | adj[a] & adj[b]
+
+
+def _reduce(adj: Sequence[int], n: int, t: int):
+    """Apply both rules to a fixpoint.  Returns the adjacency masks of
+    what is left, relabelled 0.. in ascending id, and for each vertex
+    left the input vertices it stands for."""
+    adj = list(adj)
+    members = [[v] for v in range(n)]
+    todo = list(range(n))
+    while todo:
+        v = todo.pop()
+        if members[v]:
+            # a vertex gone by rule (a) has degree 0, so (b) skips it
+            touched = _delete_simplicial(adj, members, v, t)
+            touched |= _contract_degree_two(adj, members, v, t)
+            todo.extend(_bits(touched))
+    keep = [v for v in range(n) if members[v]]
+    if len(keep) == n:
+        return adj, members
+    index = {v: i for i, v in enumerate(keep)}
+    radj = [sum(1 << index[u] for u in _bits(adj[v])) for v in keep]
+    return radj, [members[v] for v in keep]
+
+
+# --- the search ------------------------------------------------------------
 
 
 def _grow_search(adj: Sequence[int], n: int, t: int, stats: _Stats):
@@ -279,71 +336,3 @@ def _grow_search(adj: Sequence[int], n: int, t: int, stats: _Stats):
 
     return rec(0, tuple([empty_set] * t), 0)
 
-
-# --- strategy 2: contraction enumeration ------------------------------------
-
-
-def _contract_search(adj: Sequence[int], n: int, t: int, stats: _Stats):
-    """DFS over partitions formed by merging adjacent blocks, memoized on
-    the partition.  A hit is t blocks forming a clique in the quotient."""
-    blocks = tuple(1 << v for v in range(n))
-    qadj = list(adj)
-    visited = {frozenset(blocks)}
-
-    def find_clique(quot, count):
-        # targeted t-clique in the quotient, candidates as index bitmask
-        chosen = []
-
-        def extend(cands, need):
-            if need == 0:
-                return True
-            if cands.bit_count() < need:
-                return False
-            for i in _bits(cands):
-                chosen.append(i)
-                if extend(cands & quot[i] & ~((1 << (i + 1)) - 1), need - 1):
-                    return True
-                chosen.pop()
-            return False
-
-        if extend((1 << count) - 1, t):
-            return list(chosen)
-        return None
-
-    def rec(blocks, qadj):
-        stats.tick()
-        b = len(blocks)
-        hit = find_clique(qadj, b)
-        if hit is not None:
-            return [blocks[i] for i in hit]
-        if b == t:
-            return None
-        for i in range(b):
-            row = qadj[i]
-            for j in _bits(row & ~((1 << (i + 1)) - 1)):
-                merged_blocks = list(blocks)
-                merged_blocks[i] = blocks[i] | blocks[j]
-                del merged_blocks[j]
-                key = frozenset(merged_blocks)
-                if key in visited:
-                    continue
-                visited.add(key)
-                merged_adj = []
-                for a in range(b):
-                    if a == j:
-                        continue
-                    row_a = qadj[a]
-                    if a == i:
-                        row_a |= qadj[j]
-                    if row_a & (1 << j):
-                        row_a |= 1 << i  # j's neighbors now border merged i
-                    keep_low = row_a & ((1 << j) - 1)
-                    keep_high = (row_a >> (j + 1)) << j
-                    merged_adj.append(keep_low | keep_high)
-                merged_adj[i] &= ~(1 << i)
-                got = rec(tuple(merged_blocks), merged_adj)
-                if got is not None:
-                    return got
-        return None
-
-    return rec(blocks, qadj)

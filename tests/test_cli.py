@@ -119,6 +119,16 @@ def test_minor_exit_codes(tmp_path, capsys):
     assert code == 0 and "contains" in out
 
 
+def test_minor_long_cycle_exits_1_without_search(tmp_path, capsys):
+    gp = tmp_path / "c2000.json"
+    n = 2000
+    write_graph(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]), str(gp))
+    t0 = time.monotonic()
+    code, out, _ = run(["minor", "--input", str(gp), "--target", "4"], capsys)
+    assert code == 1 and "no K_4 minor (0 search nodes)" in out
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_minor_witness_roundtrips_through_check_cert(tmp_path, capsys):
     gp = tmp_path / "k4.g6"
     wp = tmp_path / "w.json"

@@ -48,6 +48,8 @@ def test_is_clique():
     assert not g.is_clique((0, 1, 3))
     assert g.is_clique((3,))
     assert g.is_clique(())
+    assert not g.is_clique((0, 1, 0))  # a repeated vertex is no clique
+    assert not g.is_clique((3, 3))
 
 
 def test_complete_multipartite_octahedron():

@@ -15,6 +15,8 @@ from unchoosable import (
     k_r_times_2,
 )
 
+from unchoosable import minors
+
 from conftest import oracle_has_minor, random_graph
 
 
@@ -83,11 +85,101 @@ def test_positive_answers_carry_valid_witnesses():
     for _ in range(100):
         g = random_graph(rng, rng.randint(3, 8), 0.6)
         t = rng.randint(2, 5)
-        for strategy in ("branch", "contract"):
-            ans = has_clique_minor(g, t, strategy=strategy)
+        ans = has_clique_minor(g, t)
+        if ans.contains:
+            assert len(ans.witness.branch_sets) == t
+            assert check_witness(g, ans.witness)
+
+
+def subdivided(g: Graph, every: int = 1) -> Graph:
+    """`g` with `every` new vertices on each edge."""
+    edges, n = [], g.n
+    for u, v in g.edges:
+        path = [u] + list(range(n, n + every)) + [v]
+        n += every
+        edges += zip(path, path[1:])
+    return Graph.from_edges(n, edges)
+
+
+def test_witnesses_map_back_through_contractions():
+    g = subdivided(complete(5))
+    ans = has_clique_minor(g, 5)
+    assert ans.contains and check_witness(g, ans.witness)
+    assert any(len(s) > 1 for s in ans.witness.branch_sets)
+    rng = random.Random(37)
+    for _ in range(100):
+        base = random_graph(rng, rng.randint(4, 7), 0.7)
+        g = subdivided(base, rng.randint(1, 3))
+        # pendant trees, which rule (a) peels off again
+        extra = rng.randint(0, 4)
+        edges = list(g.edges) + [(rng.randrange(v), v) for v in range(g.n, g.n + extra)]
+        g = Graph.from_edges(g.n + extra, edges)
+        for t in (4, 5):  # rule (b) contracts only for t >= 4
+            ans = has_clique_minor(g, t)
+            assert ans.contains == oracle_has_minor(base, t)
             if ans.contains:
                 assert len(ans.witness.branch_sets) == t
                 assert check_witness(g, ans.witness)
+
+
+def test_long_cycle_is_decided_without_search():
+    ans = has_clique_minor(cycle(2000), 4)
+    assert (ans.contains, ans.witness, ans.nodes) == (False, None, 0)
+
+
+RULES = [minors._delete_simplicial, minors._contract_degree_two]
+
+
+def test_reductions_reach_a_fixpoint():
+    # after _reduce no rule applies anywhere, and the vertices left stand
+    # for disjoint sets of input vertices
+    rng = random.Random(43)
+    # contracting 0 into 2 joins 2 and 4, which makes 5 simplicial after
+    # 5 was last looked at
+    edges = [(0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 5), (2, 7), (3, 6)]
+    edges += [(3, 7), (4, 5), (4, 6), (4, 7), (5, 7), (6, 7)]
+    cases = [(Graph.from_edges(8, edges), 5)]
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice([0.15, 0.25, 0.4]))
+        cases.append((g, rng.randint(2, 6)))
+    for g, t in cases:
+        adj, members = minors._reduce(g.adj, g.n, t)
+        merged = [v for m in members for v in m]
+        assert len(merged) == len(set(merged))
+        for v in range(len(adj)):
+            for rule in RULES:
+                left, kept = list(adj), [list(m) for m in members]
+                rule(left, kept, v, t)
+                assert kept[v], (g, t, v, rule.__name__)
+
+
+def _graph_left(adj, members) -> Graph:
+    """The vertices a reduction rule kept, relabelled in ascending id."""
+    arcs = {(u, w) for u in range(len(adj)) for w in range(len(adj)) if adj[u] >> w & 1}
+    # symmetric, and no edge ends at a vertex that is gone
+    assert all((w, u) in arcs and members[u] and members[w] for u, w in arcs)
+    keep = [v for v in range(len(adj)) if members[v]]
+    index = {v: i for i, v in enumerate(keep)}
+    return Graph.from_edges(len(keep), [(index[u], index[w]) for u, w in arcs])
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_each_reduction_rule_keeps_the_oracle_answer(rule):
+    rng = random.Random(41)
+    applied = set()
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.35, 0.5]))
+        for t in range(1, 7):
+            want = oracle_has_minor(g, t)
+            for v in range(g.n):
+                adj, members = list(g.adj), [[u] for u in range(g.n)]
+                rule(adj, members, v, t)
+                if members[v]:
+                    continue  # the rule does not apply at v
+                applied.add(t)
+                assert oracle_has_minor(_graph_left(adj, members), t) == want, (g, t, v)
+    # rule (a) needs t >= 2, rule (b) t >= 4
+    assert applied == set(range(2 if rule is minors._delete_simplicial else 4, 7))
 
 
 def test_trees_have_no_k3_minor():
@@ -135,16 +227,6 @@ def test_minus_matching_family():
         assert hadwiger_number(k_1_r_times_2(r)) == bound + 1
 
 
-def test_strategy_answers_never_differ():
-    rng = random.Random(23)
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(2, 8), rng.choice([0.3, 0.6, 0.9]))
-        t = rng.randint(2, g.n)
-        a = has_clique_minor(g, t, strategy="branch")
-        b = has_clique_minor(g, t, strategy="contract")
-        assert a.contains == b.contains
-
-
 def test_matches_partition_oracle():
     rng = random.Random(29)
     for _ in range(150):
@@ -164,12 +246,12 @@ def test_timeout_raises():
     # target above the hadwiger number forces the search to exhaust
     g = k_r_times_2(7)
     with pytest.raises(SearchTimeout):
-        has_clique_minor(g, 11, strategy="branch", timeout=1e-4)
+        has_clique_minor(g, 11, timeout=1e-4)
 
 
 def test_invalid_arguments():
     g = complete(3)
     with pytest.raises(InvalidArgumentError):
         has_clique_minor(g, 0)
-    with pytest.raises(InvalidArgumentError):
-        has_clique_minor(g, 2, strategy="magic")
+    with pytest.raises(TypeError):
+        has_clique_minor(g, 2, strategy="branch")  # one search, no knob

@@ -1,7 +1,9 @@
-"""The list-coloring solver and the degeneracy order run on whole built
-graphs, up to VERTEX_CAP vertices.  A search that recursed once per
-vertex would hit Python's recursion limit long before that, so neither
-may call itself, directly or through a chain of calls."""
+"""The list-coloring solver, the degeneracy order, the clique-minor
+reductions and the branch-set witness check run on whole input graphs,
+up to VERTEX_CAP vertices.  A search that recursed once per vertex would
+hit Python's recursion limit long before that, so none of them may call
+itself, directly or through a chain of calls.  (The minor search proper
+still recurses once per vertex of the reduced graph.)"""
 
 import ast
 from pathlib import Path
@@ -57,6 +59,13 @@ def test_solver_module_does_not_recurse():
 def test_degeneracy_does_not_recurse():
     found = recursive_functions(SRC / "graphs.py", {"degeneracy"})
     assert not found, f"degeneracy reaches recursive functions: {found}"
+
+
+def test_minor_reductions_and_witness_check_do_not_recurse():
+    roots = {"_reduce", "check_witness"}
+    assert roots <= set(_call_graph(SRC / "minors.py"))
+    found = recursive_functions(SRC / "minors.py", roots)
+    assert not found, f"minor reductions reach recursive functions: {found}"
 
 
 def test_guard_sees_direct_and_mutual_recursion(tmp_path):
