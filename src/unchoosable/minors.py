@@ -21,12 +21,17 @@ vertices merged into it, so that a witness maps back to the input:
   contract to a triangle, which (a) then deletes.
 
 Then one complete search runs on what is left: vertices are considered
-in ascending id and either discarded or appended to one of the t sets,
-with sound pruning rules (capacity, stranded components, unfixable set
-pairs).  Symmetry among the unordered sets is broken by requiring set k
-to be opened by the smallest vertex it will ever contain, with opening
-order 0..t-1.  The reductions are a loop; the search recurses once per
-vertex of the reduced graph.
+in ascending id and each either opens the next set, joins an open set
+or is discarded, in that order, with sound pruning rules (capacity,
+stranded components, unfixable set pairs).  Symmetry among the
+unordered sets is broken by requiring set k to be opened by the
+smallest vertex it will ever contain, with opening order 0..t-1.
+Trying "open" first finds K_t inside K_t in t+1 nodes.  A search that
+finds no minor visits every node the rules leave, and which child is
+tried first does not change that set, so negative node counts do not
+depend on the order.  Neither the reductions nor the search recurse:
+the search keeps an explicit stack of frames, one per placed vertex,
+so a long cycle at t = 3 is found in one node per vertex.
 
 `counting_bound` is the cheap negative side: a partition of the vertex
 set into k independent sets caps every clique minor at floor((n+k)/2),
@@ -123,15 +128,15 @@ def check_witness(g: Graph, witness: BranchSetWitness) -> bool:
 def _connected(adj: Sequence[int], mask: int) -> bool:
     if mask == 0:
         return False
-    comp = mask & -mask
-    while True:
+    # breadth-first: each vertex's neighbourhood is read once, when it
+    # joins the frontier
+    comp = frontier = mask & -mask
+    while frontier:
         grow = 0
-        for v in _bits(comp):
+        for v in _bits(frontier):
             grow |= adj[v]
-        grow = grow & mask & ~comp
-        if not grow:
-            break
-        comp |= grow
+        frontier = grow & mask & ~comp
+        comp |= frontier
     return comp == mask
 
 
@@ -144,9 +149,9 @@ def has_clique_minor(g: Graph, t: int, *, timeout: float | None = None) -> Minor
     """
     if t <= 0:
         raise InvalidArgumentError(f"clique order must be positive, got {t}")
-    stats = _Stats(None if timeout is None else time.monotonic() + timeout)
     if t > g.n or g.m < t * (t - 1) // 2:
         return MinorAnswer(False, None, 0)
+    stats = _Stats(None if timeout is None else time.monotonic() + timeout)
     adj, members = _reduce(g.adj, g.n, t)
     if t > len(adj) or sum(a.bit_count() for a in adj) // 2 < t * (t - 1) // 2:
         return MinorAnswer(False, None, 0)
@@ -199,56 +204,60 @@ def hadwiger_number(g: Graph, timeout: float | None = None) -> int:
 
 
 # --- reductions ------------------------------------------------------------
-#
-# Each rule edits `adj` and `members` (the input vertices each vertex
-# stands for; empty once it is gone) in place and returns the vertices
-# whose rule may now apply.  A rule that does not apply changes nothing.
-
-
-def _delete_simplicial(adj: list[int], members: list[list[int]], v: int, t: int) -> int:
-    """Rule (a): delete v if its neighbourhood is a clique of fewer than
-    t-1 vertices."""
-    nv = adj[v]
-    if nv.bit_count() >= t - 1 or any((adj[u] | 1 << u) & nv != nv for u in _bits(nv)):
-        return 0
-    for u in _bits(nv):
-        adj[u] &= ~(1 << v)
-    adj[v] = 0
-    members[v] = []
-    return nv
-
-
-def _contract_degree_two(
-    adj: list[int], members: list[list[int]], v: int, t: int
-) -> int:
-    """Rule (b), t >= 4: contract v of degree 2 into its lower neighbour
-    a, which inherits v's edge to the other neighbour b."""
-    if t < 4 or adj[v].bit_count() != 2:
-        return 0
-    a, b = _bits(adj[v])
-    adj[a] = adj[a] & ~(1 << v) | 1 << b
-    adj[b] = adj[b] & ~(1 << v) | 1 << a
-    adj[v] = 0
-    members[a] += members[v]
-    members[v] = []
-    # a and b changed, and so did the neighbourhoods containing both
-    return 1 << a | 1 << b | adj[a] & adj[b]
 
 
 def _reduce(adj: Sequence[int], n: int, t: int):
     """Apply both rules to a fixpoint.  Returns the adjacency masks of
     what is left, relabelled 0.. in ascending id, and for each vertex
-    left the input vertices it stands for."""
+    left the input vertices it stands for.
+
+    `members[v]` is emptied when v goes.  A rule that fires pushes the
+    vertices whose rule may now apply, in ascending id."""
     adj = list(adj)
     members = [[v] for v in range(n)]
     todo = list(range(n))
     while todo:
         v = todo.pop()
-        if members[v]:
-            # a vertex gone by rule (a) has degree 0, so (b) skips it
-            touched = _delete_simplicial(adj, members, v, t)
-            touched |= _contract_degree_two(adj, members, v, t)
-            todo.extend(_bits(touched))
+        if not members[v]:
+            continue
+        nv = adj[v]
+        degree = nv.bit_count()
+        touched = 0
+        if degree < t - 1:
+            # rule (a): delete v if its neighbourhood is a clique
+            rest = nv
+            while rest:
+                low = rest & -rest
+                if (adj[low.bit_length() - 1] | low) & nv != nv:
+                    break
+                rest ^= low
+            if not rest:
+                gone = ~(1 << v)
+                rest = nv
+                while rest:
+                    low = rest & -rest
+                    adj[low.bit_length() - 1] &= gone
+                    rest ^= low
+                adj[v] = 0
+                members[v] = []
+                touched = nv
+        if members[v] and degree == 2 and t >= 4:
+            # rule (b): contract v into its lower neighbour a, which
+            # inherits v's edge to the other neighbour b
+            low = nv & -nv
+            a = low.bit_length() - 1
+            b = (nv ^ low).bit_length() - 1
+            adj[a] = adj[a] & ~(1 << v) | 1 << b
+            adj[b] = adj[b] & ~(1 << v) | 1 << a
+            adj[v] = 0
+            members[a] += members[v]
+            members[v] = []
+            # a and b changed, and so did the neighbourhoods containing both
+            touched = 1 << a | 1 << b | adj[a] & adj[b]
+        while touched:
+            low = touched & -touched
+            todo.append(low.bit_length() - 1)
+            touched ^= low
     keep = [v for v in range(n) if members[v]]
     if len(keep) == n:
         return adj, members
@@ -262,77 +271,92 @@ def _reduce(adj: Sequence[int], n: int, t: int):
 
 def _grow_search(adj: Sequence[int], n: int, t: int, stats: _Stats):
     """Exhaustive DFS over assignments of vertices (ascending) to one of
-    t branch sets or the discard pile.  Returns set masks or None."""
+    t branch sets or the discard pile.  Returns set masks or None.
+
+    A node is (v, sets, opened): vertices below v are placed, and sets
+    0..opened-1 are non-empty.  A set is (members, neighbourhood,
+    components as (mask, neighbourhood) pairs).  Each stack frame is
+    [v, sets, opened, next choice]; the choices are -1 (v opens set
+    `opened`, while opened < t), 0..opened-1 (v joins that set), then
+    `opened` (v is discarded, and the frame is popped)."""
     suffix_edge = [False] * (n + 1)
     for v in range(n - 1, -1, -1):
-        later = ~((1 << (v + 1)) - 1)
-        suffix_edge[v] = suffix_edge[v + 1] or bool(adj[v] & later)
-
-    # per-set state: (members, neighborhood, components as (mask, nbr) pairs)
-    empty_set = (0, 0, ())
-
-    def success(sets):
-        for mask, _, comps in sets:
-            if mask == 0 or len(comps) > 1:
-                return False
-        for i in range(t):
-            ni = sets[i][1]
-            for j in range(i + 1, t):
-                if not ni & sets[j][0]:
-                    return False
-        return True
-
-    def rec(v, sets, opened):
-        stats.tick()
-        if success(sets):
-            return [s[0] for s in sets]
-        if v == n:
+        suffix_edge[v] = suffix_edge[v + 1] or adj[v] >> (v + 1) != 0
+    full = (1 << n) - 1
+    tick = stats.tick
+    stack = []
+    v, sets, opened = 0, ((0, 0, ()),) * t, 0
+    while True:
+        tick()
+        if opened == t:
+            # success: every set connected and every pair adjacent
+            found = True
+            for _, _, comps in sets:
+                if len(comps) > 1:
+                    found = False
+                    break
+            i = 0
+            while found and i < t:
+                ni = sets[i][1]
+                for j in range(i + 1, t):
+                    if not ni & sets[j][0]:
+                        found = False
+                        break
+                i += 1
+            if found:
+                return [s[0] for s in sets]
+        alive = v < n
+        if alive:
+            rest = full >> v << v
+            # the sets still to open, and one joining vertex for each
+            # split set, need distinct vertices from v on
+            need = t - opened
+            for i in range(opened):
+                comps = sets[i][2]
+                if len(comps) > 1:
+                    need += 1
+                    for _, cnbr in comps:
+                        if not cnbr & rest:
+                            alive = False  # a stranded component
+            if need > n - v:
+                alive = False  # over capacity
+            i = 0
+            while alive and i < opened:
+                ni = sets[i][1]
+                for j in range(i + 1, opened):
+                    mj, nj, _ = sets[j]
+                    if ni & mj or ni & nj & rest:
+                        continue  # adjacent, or one future vertex can join either
+                    if suffix_edge[v] and ni & rest and nj & rest:
+                        continue  # both sets can still grow toward a future edge
+                    alive = False  # an unfixable pair
+                    break
+                i += 1
+            if alive:
+                stack.append([v, sets, opened, -1 if opened < t else 0])
+        if not stack:
             return None
-        rest = ~((1 << v) - 1) & ((1 << n) - 1)
-        room = rest.bit_count()
-
-        need = t - opened
-        for mask, _, comps in sets[:opened]:
-            if len(comps) > 1:
-                need += 1
-        if need > room:
-            return None
-        for mask, _, comps in sets[:opened]:
-            if len(comps) > 1:
-                for cmask, cnbr in comps:
-                    if not cnbr & rest:
-                        return None
-        for i in range(opened):
-            mi, ni, _ = sets[i]
-            for j in range(i + 1, opened):
-                mj, nj, _ = sets[j]
-                if ni & mj:
-                    continue
-                if ni & nj & rest:
-                    continue  # one future vertex can join either set
-                if suffix_edge[v] and ni & rest and nj & rest:
-                    continue  # both sets can still grow toward a future edge
-                return None
-
-        vbit = 1 << v
-        vadj = adj[v]
-        limit = min(opened + 1, t)
-        for k in range(limit):
-            mask, nbr, comps = sets[k]
-            touched = [c for c in comps if c[0] & vadj]
-            kept = [c for c in comps if not c[0] & vadj]
-            cmask = vbit
-            cnbr = vadj
-            for m2, n2 in touched:
-                cmask |= m2
-                cnbr |= n2
-            kept.append((cmask, cnbr))
-            new_sets = list(sets)
-            new_sets[k] = (mask | vbit, nbr | vadj, tuple(kept))
-            got = rec(v + 1, tuple(new_sets), max(opened, k + 1))
-            if got is not None:
-                return got
-        return rec(v + 1, sets, opened)
-
-    return rec(0, tuple([empty_set] * t), 0)
-
+        frame = stack[-1]
+        v, sets, opened, k = frame
+        if k == opened:
+            stack.pop()  # the last choice: discard v
+        else:
+            frame[3] = k + 1
+            vbit = 1 << v
+            vadj = adj[v]
+            if k < 0:
+                new = (vbit, vadj, ((vbit, vadj),))
+                k = opened
+                opened += 1
+            else:
+                mask, nbr, comps = sets[k]
+                cmask, cnbr, kept = vbit, vadj, ()
+                for comp in comps:
+                    if comp[0] & vadj:
+                        cmask |= comp[0]
+                        cnbr |= comp[1]
+                    else:
+                        kept += (comp,)
+                new = (mask | vbit, nbr | vadj, kept + ((cmask, cnbr),))
+            sets = sets[:k] + (new,) + sets[k + 1 :]
+        v += 1

@@ -129,6 +129,25 @@ def test_minor_long_cycle_exits_1_without_search(tmp_path, capsys):
     assert time.monotonic() - t0 < 1.0
 
 
+def test_minor_long_cycle_at_three_needs_no_recursion(tmp_path, capsys):
+    # no rule shrinks a cycle at t = 3, so the search places every vertex
+    gp = tmp_path / "c2000.json"
+    wp = tmp_path / "w.json"
+    n = 2000
+    write_graph(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]), str(gp))
+    t0 = time.monotonic()
+    code, out, err = run(
+        ["minor", "--input", str(gp), "--target", "3", "--witness", str(wp)], capsys
+    )
+    assert code == 0 and "contains" in out and err == ""
+    assert time.monotonic() - t0 < 1.0
+    # a 1998-vertex path branch set: connectivity is one breadth-first pass
+    t0 = time.monotonic()
+    code, out, _ = run(["check-cert", "--cert", str(wp), "--graph", str(gp)], capsys)
+    assert code == 0 and "accepted" in out
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_minor_witness_roundtrips_through_check_cert(tmp_path, capsys):
     gp = tmp_path / "k4.g6"
     wp = tmp_path / "w.json"

@@ -127,7 +127,21 @@ def test_long_cycle_is_decided_without_search():
     assert (ans.contains, ans.witness, ans.nodes) == (False, None, 0)
 
 
-RULES = [minors._delete_simplicial, minors._contract_degree_two]
+def _rule_applies(adj, v, t) -> bool:
+    """Rule (a) or (b) of the module docstring would still fire at v."""
+    nv = adj[v]
+    degree = nv.bit_count()
+    others = [u for u in range(len(adj)) if nv >> u & 1]
+    simplicial = all(adj[u] >> w & 1 for u in others for w in others if u != w)
+    return (degree < t - 1 and simplicial) or (t >= 4 and degree == 2)
+
+
+def _reduced_graph(adj) -> Graph:
+    """The graph `_reduce` left, whose masks must be symmetric and
+    loop-free."""
+    arcs = {(u, w) for u in range(len(adj)) for w in range(len(adj)) if adj[u] >> w & 1}
+    assert all((w, u) in arcs and u != w for u, w in arcs)
+    return Graph.from_edges(len(adj), [(u, w) for u, w in arcs if u < w])
 
 
 def test_reductions_reach_a_fixpoint():
@@ -145,41 +159,73 @@ def test_reductions_reach_a_fixpoint():
     for g, t in cases:
         adj, members = minors._reduce(g.adj, g.n, t)
         merged = [v for m in members for v in m]
-        assert len(merged) == len(set(merged))
+        assert len(merged) == len(set(merged)) and all(members)
+        _reduced_graph(adj)
         for v in range(len(adj)):
-            for rule in RULES:
-                left, kept = list(adj), [list(m) for m in members]
-                rule(left, kept, v, t)
-                assert kept[v], (g, t, v, rule.__name__)
+            assert not _rule_applies(adj, v, t), (g, t, v)
 
 
-def _graph_left(adj, members) -> Graph:
-    """The vertices a reduction rule kept, relabelled in ascending id."""
-    arcs = {(u, w) for u in range(len(adj)) for w in range(len(adj)) if adj[u] >> w & 1}
-    # symmetric, and no edge ends at a vertex that is gone
-    assert all((w, u) in arcs and members[u] and members[w] for u, w in arcs)
-    keep = [v for v in range(len(adj)) if members[v]]
-    index = {v: i for i, v in enumerate(keep)}
-    return Graph.from_edges(len(keep), [(index[u], index[w]) for u, w in arcs])
-
-
-@pytest.mark.parametrize("rule", RULES)
-def test_each_reduction_rule_keeps_the_oracle_answer(rule):
+def test_reduce_keeps_the_oracle_answer():
+    # rule (a) alone runs for t <= 3, both rules for t >= 4
     rng = random.Random(41)
-    applied = set()
+    deleted, contracted = set(), set()
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.35, 0.5]))
         for t in range(1, 7):
+            adj, members = minors._reduce(g.adj, g.n, t)
+            if sum(map(len, members)) < g.n:
+                deleted.add(t)
+            if any(len(m) > 1 for m in members):
+                contracted.add(t)
             want = oracle_has_minor(g, t)
-            for v in range(g.n):
-                adj, members = list(g.adj), [[u] for u in range(g.n)]
-                rule(adj, members, v, t)
-                if members[v]:
-                    continue  # the rule does not apply at v
-                applied.add(t)
-                assert oracle_has_minor(_graph_left(adj, members), t) == want, (g, t, v)
-    # rule (a) needs t >= 2, rule (b) t >= 4
-    assert applied == set(range(2 if rule is minors._delete_simplicial else 4, 7))
+            assert oracle_has_minor(_reduced_graph(adj), t) == want, (g, t)
+    # contracted vertices that survive: subdivided dense graphs, which
+    # have a K_t minor for t >= 4 exactly when the graph before
+    # subdividing has
+    for _ in range(30):
+        base = random_graph(rng, rng.randint(4, 6), 0.7)
+        g = subdivided(base)
+        for t in (4, 5, 6):
+            adj, members = minors._reduce(g.adj, g.n, t)
+            if any(len(m) > 1 for m in members):
+                contracted.add(t)
+            want = oracle_has_minor(base, t)
+            assert oracle_has_minor(_reduced_graph(adj), t) == want, (base, t)
+    assert deleted == set(range(2, 7)) and contracted == set(range(4, 7))
+
+
+def test_clique_is_found_in_t_plus_one_nodes():
+    # each vertex of K_t opens the next set; the root counts as a node
+    for t in range(1, 9):
+        ans = has_clique_minor(complete(t), t)
+        assert ans.contains and ans.nodes == t + 1
+        assert ans.witness.branch_sets == tuple((v,) for v in range(t))
+
+
+def test_long_cycle_at_three_needs_no_recursion():
+    # every vertex has degree t-1 and no rule applies, so the search
+    # places all 2000 of them, deeper than the default recursion limit
+    g = cycle(2000)
+    assert minors._reduce(g.adj, g.n, 3)[0] == list(g.adj)
+    ans = has_clique_minor(g, 3)
+    assert ans.contains and ans.nodes <= g.n + 1
+    assert check_witness(g, ans.witness)
+
+
+def petersen() -> Graph:
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    return Graph.from_edges(10, edges)
+
+
+def test_negative_searches_keep_their_node_counts():
+    # an exhausted tree does not depend on which child is tried first, so
+    # these pin the pruning rules, not the value order; the Petersen count
+    # grows without any one of the three rules
+    assert has_clique_minor(k_r_times_2(4), 7).nodes == 516
+    assert has_clique_minor(k_r_times_2(5), 8).nodes == 12813
+    assert has_clique_minor(petersen(), 6).nodes == 7981
 
 
 def test_trees_have_no_k3_minor():
@@ -205,10 +251,7 @@ def test_octahedron_hadwiger_four():
 def test_petersen_hadwiger_five():
     # contracting the five spokes yields K_5; K_6 would need 15 cross
     # edges plus connectors, more than the 15 edges available
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    g = Graph.from_edges(10, edges)
+    g = petersen()
     assert has_clique_minor(g, 5).contains
     assert not has_clique_minor(g, 6).contains
     assert hadwiger_number(g) == 5

@@ -1,9 +1,8 @@
 """The list-coloring solver, the degeneracy order, the clique-minor
-reductions and the branch-set witness check run on whole input graphs,
-up to VERTEX_CAP vertices.  A search that recursed once per vertex would
-hit Python's recursion limit long before that, so none of them may call
-itself, directly or through a chain of calls.  (The minor search proper
-still recurses once per vertex of the reduced graph.)"""
+reductions and search, and the branch-set witness check run on whole
+input graphs, up to VERTEX_CAP vertices.  A search that recursed once
+per vertex would hit Python's recursion limit long before that, so none
+of them may call itself, directly or through a chain of calls."""
 
 import ast
 from pathlib import Path
@@ -61,11 +60,11 @@ def test_degeneracy_does_not_recurse():
     assert not found, f"degeneracy reaches recursive functions: {found}"
 
 
-def test_minor_reductions_and_witness_check_do_not_recurse():
-    roots = {"_reduce", "check_witness"}
-    assert roots <= set(_call_graph(SRC / "minors.py"))
-    found = recursive_functions(SRC / "minors.py", roots)
-    assert not found, f"minor reductions reach recursive functions: {found}"
+def test_minor_module_does_not_recurse():
+    names = {"_reduce", "_grow_search", "check_witness"}
+    assert names <= set(_call_graph(SRC / "minors.py"))
+    found = recursive_functions(SRC / "minors.py")
+    assert not found, f"recursive functions in minors.py: {found}"
 
 
 def test_guard_sees_direct_and_mutual_recursion(tmp_path):
