@@ -19,6 +19,19 @@ was a cut vertex: it had two or more uncolored neighbors and a search
 from one of them does not reach all the others.  All domain edits go
 through one global trail so a failing component rolls back its
 siblings' work too.
+
+The parts of a split are solved tightest first: fewest distinct colors
+in the union of their domains, split order (lowest vertex) on ties,
+with the keys taken once when the choice point is made.  A part that
+cannot be colored is then usually met before its colorable siblings
+are solved, which the vertex that split them would otherwise redo
+under each of its colors.  The last split is kept as one (rest, parts)
+pair, so a later choice point that leaves the same rest reuses its
+parts instead of searching them out again.  The order changes no
+answer: parts share no edges, so each part's first coloring does not
+depend on when it is solved, and a split vertex still keeps its first
+color under which every part is colorable.  Only the backtrack count
+can differ, where a failing part used to come after others.
 """
 
 from __future__ import annotations
@@ -171,8 +184,11 @@ def l_colorable(
     # goals once the vertex is colored]
     choices: list[list] = []
     backtracks = 0
+    # the last split made and its parts: a choice point that leaves the
+    # same rest reuses them instead of searching the rest again
+    split_rest, split_parts = 0, []
 
-    goals = _push_parts(_split(adj, (1 << g.n) - 1), ~0, None)
+    goals = _push_parts(_order(_split(adj, (1 << g.n) - 1), domains), ~0, None)
     while goals is not None:
         comp, goals = goals
         if comp < 0:  # a part of a split is solved: drop its choice points
@@ -187,14 +203,21 @@ def l_colorable(
         v = low.bit_length() - 1
         rest = comp ^ low
         live = adj[v] & rest
-        # the rest stays connected unless v was a cut vertex; its parts
-        # cut back to just above v's choice point, pushed next
+        # the rest stays connected unless v was a cut vertex; its parts,
+        # tightest first, cut back to just above v's choice point, pushed
+        # next.  The last split's rest is known not to be connected.
         if not rest:
             after = goals
-        elif not live & (live - 1) or _reaches_all(adj, rest, live):
+        elif rest != split_rest and (
+            not live & (live - 1) or _reaches_all(adj, rest, live)
+        ):
             after = (rest, goals)
         else:
-            after = _push_parts(_split(adj, rest), ~(len(choices) + 1), goals)
+            if rest != split_rest:
+                split_rest, split_parts = rest, _split(adj, rest)
+            after = _push_parts(
+                _order(split_parts, domains), ~(len(choices) + 1), goals
+            )
         cp = [v, domains[v], len(trail), tuple(_bits(live)), after]
         choices.append(cp)
         # descend into the first color that survives forward checking,
@@ -269,6 +292,20 @@ def _split(adj: tuple[int, ...], within: int) -> list[int]:
             comp |= frontier
         parts.append(comp)
     return parts
+
+
+def _order(parts: list[int], domains: list[int]) -> list[int]:
+    """`parts` by the number of colors their domains offer in all,
+    fewest first; ties keep their order."""
+    if len(parts) < 2:
+        return parts
+    keys = []
+    for comp in parts:
+        union = 0
+        for u in _bits(comp):
+            union |= domains[u]
+        keys.append(union.bit_count())
+    return [parts[i] for i in sorted(range(len(parts)), key=keys.__getitem__)]
 
 
 def _push_parts(parts: list[int], cut: int, goals: tuple | None) -> tuple | None:
