@@ -33,9 +33,8 @@ from .errors import (
 )
 from .graphs import degeneracy as graph_degeneracy
 from .graphs import paste
-from .graphio import load_json, read_graph, write_graph
-from .listcolor import l_colorable, precoloring_from_json_dict
-from .listcolor import read_list_assignment, write_list_assignment
+from .graphio import load_json, read_graph, write_graph, write_json
+from .listcolor import l_colorable, precoloring_from_json_dict, read_list_assignment
 from .minors import has_clique_minor
 
 
@@ -70,7 +69,7 @@ def _cmd_build(args) -> int:
     if args.graph:
         write_graph(g, args.graph)
     if args.lists:
-        write_list_assignment(la, args.lists)
+        write_json(args.lists, la.to_json_dict())
     man = stats.manifest("full")
     _emit(
         man,
@@ -89,9 +88,7 @@ def _cmd_verify(args) -> int:
         print(f"refuted: {exc}", file=sys.stderr)
         return 1
     if args.cert:
-        with open(args.cert, "w", encoding="utf-8") as fh:
-            json.dump(cert, fh, indent=2)
-            fh.write("\n")
+        write_json(args.cert, cert)
     _emit(
         cert,
         f"verified: case {params.case} t={params.t} is K_{params.p}-minor-free "
@@ -108,11 +105,8 @@ def _cmd_minor(args) -> int:
         doc = {"contains": True, "target": args.target}
         doc.update(ans.witness.to_json_dict())
         if args.witness:
-            out = {"kind": "branch-set-positive"}
-            out.update(ans.witness.to_json_dict())
-            with open(args.witness, "w", encoding="utf-8") as fh:
-                json.dump(out, fh, indent=2)
-                fh.write("\n")
+            out = {"kind": "branch-set-positive", **ans.witness.to_json_dict()}
+            write_json(args.witness, out)
         _emit(
             doc,
             f"contains a K_{args.target} minor: "
@@ -140,9 +134,7 @@ def _cmd_color(args) -> int:
     res = l_colorable(g, la, precoloring=pre)
     if res.colorable:
         if args.coloring:
-            with open(args.coloring, "w", encoding="utf-8") as fh:
-                json.dump({"coloring": list(res.coloring)}, fh, indent=2)
-                fh.write("\n")
+            write_json(args.coloring, {"coloring": list(res.coloring)})
         _emit(
             {"colorable": True, "coloring": list(res.coloring)},
             "colorable: " + ",".join(map(str, res.coloring)),

@@ -277,20 +277,18 @@ def _copy_base(params: ConstructionParams, k: int) -> int:
     return params.r + k * (params.q + 2 - params.r)
 
 
-def build(
-    params: ConstructionParams, vertex_cap: int = VERTEX_CAP
-) -> tuple[Graph, ListAssignment]:
+def build(params: ConstructionParams) -> tuple[Graph, ListAssignment]:
     """Materialize the pasted graph and its list assignment.
 
     Ids 0..r-1 are the shared roots with list [1,q].  Copy k, ordered
     lexicographically by its color vector, owns ids base..base+(q+1-r)
     with base = r + k(q+2-r): the w_i in pair order, then the extra
-    vertex in case c.  Raises ResourceLimitError above the vertex cap;
+    vertex in case c.  Raises ResourceLimitError above VERTEX_CAP;
     use build_stats for the counts instead."""
     stats = build_stats(params)
-    if stats.n_vertices > vertex_cap:
+    if stats.n_vertices > VERTEX_CAP:
         raise ResourceLimitError(
-            f"full build needs {stats.n_vertices} vertices, cap is {vertex_cap}; "
+            f"full build needs {stats.n_vertices} vertices, cap is {VERTEX_CAP}; "
             "use stats-only"
         )
     q, r = params.q, params.r

@@ -129,6 +129,13 @@ def load_json(text: str) -> object:
         raise ParseError("JSON nested too deeply") from e
 
 
+def write_json(path: str, doc: object) -> None:
+    """Write `doc` to `path` as JSON indented by 2, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def read_adjacency_json(text: str) -> Graph:
     """Parse adjacency JSON.  Raises ParseError on malformed input and
     ResourceLimitError when `n` is above VERTEX_CAP."""

@@ -1,9 +1,13 @@
 """Immutable simple graphs, complete multipartite constructors, clique
-pasting, and degeneracy orderings.
+pasting, degeneracy orderings, and the walks over vertex masks.
 
 Vertices are dense 0-based ids.  Edges are stored normalized (u < v,
 lexicographically sorted) so that equal graphs compare equal and every
 serialization is canonical.
+
+A vertex set is an int mask, bit v for vertex v.  The list-coloring
+solver and the branch-set witness check walk such masks only through
+`union_over`, `reaches_all` and `components` here.
 """
 
 from __future__ import annotations
@@ -27,6 +31,46 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def union_over(table: Sequence[int], mask: int) -> int:
+    """The OR of `table[u]` over the vertices u of `mask`, walked inline:
+    on the solver's small masks a `_bits` generator costs more."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def reaches_all(adj: Sequence[int], within: int, targets: int) -> bool:
+    """Whether one connected part of `within` holds every vertex of
+    `targets`, a subset of `within`: grow from the lowest target,
+    stopping once all are met.  False when `targets` is empty."""
+    frontier = targets & -targets
+    todo = within ^ frontier
+    while frontier:
+        frontier = union_over(adj, frontier) & todo
+        todo ^= frontier
+        if not targets & todo:
+            return True
+    return False
+
+
+def components(adj: Sequence[int], within: int) -> list[int]:
+    """The connected parts of `within`, by lowest vertex, each grown by
+    a frontier BFS."""
+    parts = []
+    while within:
+        frontier = comp = within & -within
+        within ^= comp
+        while frontier:
+            frontier = union_over(adj, frontier) & within
+            within ^= frontier
+            comp |= frontier
+        parts.append(comp)
+    return parts
 
 
 @dataclass(frozen=True)

@@ -3,47 +3,47 @@
 A list assignment gives every vertex a finite set of allowed colors.
 The graph is L-colorable when a proper coloring exists that draws each
 vertex's color from its own list.  The backtracking solver carries
-per-vertex domains as bitmasks (color c lives at bit c-1), picks the
-smallest remaining domain first (lowest id on ties, from one vertex
-mask per domain size), forward-checks neighbors, and solves the
-connected components of the uncolored subgraph one at a time, so
-independent parts never multiply.
+per-vertex domains as bitmasks (one bit per color that some list names,
+in ascending order), picks the smallest remaining domain first (lowest
+id on ties, from one vertex mask per domain size), forward-checks
+neighbors, and solves the connected components of the uncolored
+subgraph one at a time, so independent parts never multiply.
 
 The search keeps an explicit stack and never recurses, so its depth is
 not bounded by Python's recursion limit.  Pending components sit on a
 persistent goal list; when a component is solved, a cut marker behind
 it drops the choice points made inside it, and a later failure backs
 up to the vertex whose coloring split it off.  After a vertex is
-colored, the rest of its component is re-split only when that vertex
-was a cut vertex: it had two or more uncolored neighbors and a search
-from one of them does not reach all the others.  All domain edits go
-through one global trail so a failing component rolls back its
-siblings' work too.
+colored, the rest of its component is re-split (`graphs.components`)
+only when that vertex was a cut vertex: it had two or more uncolored
+neighbors and a search from one of them does not reach all the others
+(`graphs.reaches_all`).  All domain edits go through one global trail
+so a failing component rolls back its siblings' work too.
 
 The parts of a split are solved tightest first: fewest distinct colors
-in the union of their domains, split order (lowest vertex) on ties,
-with the keys taken once when the choice point is made.  A part that
-cannot be colored is then usually met before its colorable siblings
-are solved, which the vertex that split them would otherwise redo
-under each of its colors.  The last split is kept as one (rest, parts)
-pair, so a later choice point that leaves the same rest reuses its
-parts instead of searching them out again.  The order changes no
-answer: parts share no edges, so each part's first coloring does not
-depend on when it is solved, and a split vertex still keeps its first
-color under which every part is colorable.  Only the backtrack count
-can differ, where a failing part used to come after others.
+in the union of their domains (`graphs.union_over`), split order
+(lowest vertex) on ties, with the keys taken once when the choice point
+is made.  A part that cannot be colored is then usually met before its
+colorable siblings are solved, which the vertex that split them would
+otherwise redo under each of its colors.  The last split is kept as one
+(rest, parts) pair, so a later choice point that leaves the same rest
+reuses its parts instead of searching them out again.  The order
+changes no answer: parts share no edges, so each part's first coloring
+does not depend on when it is solved, and a split vertex still keeps
+its first color under which every part is colorable.  Only the
+backtrack count can differ, where a failing part used to come after
+others.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InvalidArgumentError, PreconditionError, SearchTimeout
 from .graphio import load_json
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, components, reaches_all, union_over
 
 # with a timeout the clock is read once per this many backtracks; every
 # failed branch ends in one, so no long search goes unchecked
@@ -77,15 +77,6 @@ class ListAssignment:
     @property
     def n(self) -> int:
         return len(self.lists)
-
-    def masks(self) -> list[int]:
-        out = []
-        for row in self.lists:
-            m = 0
-            for c in row:
-                m |= 1 << (c - 1)
-            out.append(m)
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,7 +150,16 @@ def l_colorable(
         raise InvalidArgumentError(
             f"list assignment covers {la.n} vertices, graph has {g.n}"
         )
-    domains = la.masks()
+    # a mask is as wide as the colors in use: a list may name a color
+    # far above the rest, which as bit c-1 would cost c/8 bytes a vertex
+    colors = sorted({c for row in la.lists for c in row})
+    bit_of = {c: 1 << i for i, c in enumerate(colors)}
+    domains = []
+    for row in la.lists:
+        d = 0
+        for c in row:
+            d |= bit_of[c]
+        domains.append(d)
     if precoloring:
         for v, c in precoloring.items():
             if not (0 <= v < g.n):
@@ -168,7 +168,7 @@ def l_colorable(
                 raise PreconditionError(
                     f"precoloring pins vertex {v} to {c}, not in its list"
                 )
-            domains[v] = 1 << (c - 1)
+            domains[v] = bit_of[c]
     if not all(domains):
         return SolveResult(False, None, 0)
 
@@ -188,7 +188,7 @@ def l_colorable(
     # same rest reuses them instead of searching the rest again
     split_rest, split_parts = 0, []
 
-    goals = _push_parts(_order(_split(adj, (1 << g.n) - 1), domains), ~0, None)
+    goals = _push_parts(_order(components(adj, (1 << g.n) - 1), domains), ~0, None)
     while goals is not None:
         comp, goals = goals
         if comp < 0:  # a part of a split is solved: drop its choice points
@@ -209,12 +209,12 @@ def l_colorable(
         if not rest:
             after = goals
         elif rest != split_rest and (
-            not live & (live - 1) or _reaches_all(adj, rest, live)
+            not live & (live - 1) or reaches_all(adj, rest, live)
         ):
             after = (rest, goals)
         else:
             if rest != split_rest:
-                split_rest, split_parts = rest, _split(adj, rest)
+                split_rest, split_parts = rest, components(adj, rest)
             after = _push_parts(
                 _order(split_parts, domains), ~(len(choices) + 1), goals
             )
@@ -257,41 +257,7 @@ def l_colorable(
             if deadline is not None and backtracks % _TIMEOUT_CHECK_EVERY == 0:
                 if time.monotonic() > deadline:
                     raise SearchTimeout("coloring search exceeded its time budget")
-    return SolveResult(True, tuple(result), backtracks)
-
-
-def _reaches_all(adj: tuple[int, ...], within: int, targets: int) -> bool:
-    """Whether one connected part of `within` holds every vertex of
-    `targets`: grow from the lowest target, stopping once all are met."""
-    frontier = targets & -targets
-    todo = within ^ frontier
-    while frontier:
-        grow = 0
-        for u in _bits(frontier):
-            grow |= adj[u]
-        frontier = grow & todo
-        todo ^= frontier
-        if not targets & todo:
-            return True
-    return False
-
-
-def _split(adj: tuple[int, ...], within: int) -> list[int]:
-    """The connected parts of `within`, by lowest vertex, each grown by
-    a frontier BFS."""
-    parts = []
-    while within:
-        frontier = comp = within & -within
-        within ^= comp
-        while frontier:
-            grow = 0
-            for u in _bits(frontier):
-                grow |= adj[u]
-            frontier = grow & within
-            within ^= frontier
-            comp |= frontier
-        parts.append(comp)
-    return parts
+    return SolveResult(True, tuple(colors[i - 1] for i in result), backtracks)
 
 
 def _order(parts: list[int], domains: list[int]) -> list[int]:
@@ -299,12 +265,7 @@ def _order(parts: list[int], domains: list[int]) -> list[int]:
     fewest first; ties keep their order."""
     if len(parts) < 2:
         return parts
-    keys = []
-    for comp in parts:
-        union = 0
-        for u in _bits(comp):
-            union |= domains[u]
-        keys.append(union.bit_count())
+    keys = [union_over(domains, comp).bit_count() for comp in parts]
     return [parts[i] for i in sorted(range(len(parts)), key=keys.__getitem__)]
 
 
@@ -320,9 +281,3 @@ def read_list_assignment(path: str) -> ListAssignment:
     with open(path, "r", encoding="utf-8") as fh:
         doc = load_json(fh.read())
     return ListAssignment.from_json_dict(doc)
-
-
-def write_list_assignment(la: ListAssignment, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(la.to_json_dict(), fh, indent=2)
-        fh.write("\n")

@@ -45,8 +45,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidArgumentError, SearchTimeout
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, reaches_all, union_over
 
+# with a timeout the search reads the clock once per this many nodes
 _TIMEOUT_CHECK_EVERY = 1024
 
 
@@ -81,23 +82,9 @@ class MinorAnswer:
     nodes: int
 
 
-class _Stats:
-    __slots__ = ("nodes", "deadline")
-
-    def __init__(self, deadline: float | None):
-        self.nodes = 0
-        self.deadline = deadline
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % _TIMEOUT_CHECK_EVERY == 0:
-            if time.monotonic() > self.deadline:
-                raise SearchTimeout("minor search exceeded its time budget")
-
-
 def check_witness(g: Graph, witness: BranchSetWitness) -> bool:
-    """True iff the branch sets are disjoint, connected, and pairwise
-    adjacent in `g`."""
+    """True iff the branch sets are disjoint, connected and pairwise
+    adjacent in `g`, walked by `graphs.reaches_all` and `union_over`."""
     masks = []
     seen = 0
     for bs in witness.branch_sets:
@@ -113,31 +100,14 @@ def check_witness(g: Graph, witness: BranchSetWitness) -> bool:
         seen |= mask
         masks.append(mask)
     for mask in masks:
-        if not _connected(g.adj, mask):
+        if not reaches_all(g.adj, mask, mask):
             return False
     for i in range(len(masks)):
-        ni = 0
-        for v in _bits(masks[i]):
-            ni |= g.adj[v]
+        ni = union_over(g.adj, masks[i])
         for j in range(i + 1, len(masks)):
             if not ni & masks[j]:
                 return False
     return True
-
-
-def _connected(adj: Sequence[int], mask: int) -> bool:
-    if mask == 0:
-        return False
-    # breadth-first: each vertex's neighbourhood is read once, when it
-    # joins the frontier
-    comp = frontier = mask & -mask
-    while frontier:
-        grow = 0
-        for v in _bits(frontier):
-            grow |= adj[v]
-        frontier = grow & mask & ~comp
-        comp |= frontier
-    return comp == mask
 
 
 def has_clique_minor(g: Graph, t: int, *, timeout: float | None = None) -> MinorAnswer:
@@ -151,17 +121,17 @@ def has_clique_minor(g: Graph, t: int, *, timeout: float | None = None) -> Minor
         raise InvalidArgumentError(f"clique order must be positive, got {t}")
     if t > g.n or g.m < t * (t - 1) // 2:
         return MinorAnswer(False, None, 0)
-    stats = _Stats(None if timeout is None else time.monotonic() + timeout)
+    deadline = None if timeout is None else time.monotonic() + timeout
     adj, members = _reduce(g.adj, g.n, t)
     if t > len(adj) or sum(a.bit_count() for a in adj) // 2 < t * (t - 1) // 2:
         return MinorAnswer(False, None, 0)
-    masks = _grow_search(adj, len(adj), t, stats)
+    masks, nodes = _grow_search(adj, len(adj), t, deadline)
     if masks is None:
-        return MinorAnswer(False, None, stats.nodes)
+        return MinorAnswer(False, None, nodes)
     branch_sets = tuple(
         tuple(sorted(v for i in _bits(mask) for v in members[i])) for mask in masks
     )
-    return MinorAnswer(True, BranchSetWitness(branch_sets), stats.nodes)
+    return MinorAnswer(True, BranchSetWitness(branch_sets), nodes)
 
 
 def counting_bound(g: Graph, parts: Sequence[Sequence[int]]) -> int | None:
@@ -269,9 +239,10 @@ def _reduce(adj: Sequence[int], n: int, t: int):
 # --- the search ------------------------------------------------------------
 
 
-def _grow_search(adj: Sequence[int], n: int, t: int, stats: _Stats):
+def _grow_search(adj: Sequence[int], n: int, t: int, deadline: float | None):
     """Exhaustive DFS over assignments of vertices (ascending) to one of
-    t branch sets or the discard pile.  Returns set masks or None.
+    t branch sets or the discard pile.  Returns (set masks or None,
+    nodes visited), or raises SearchTimeout once past `deadline`.
 
     A node is (v, sets, opened): vertices below v are placed, and sets
     0..opened-1 are non-empty.  A set is (members, neighbourhood,
@@ -283,11 +254,14 @@ def _grow_search(adj: Sequence[int], n: int, t: int, stats: _Stats):
     for v in range(n - 1, -1, -1):
         suffix_edge[v] = suffix_edge[v + 1] or adj[v] >> (v + 1) != 0
     full = (1 << n) - 1
-    tick = stats.tick
+    nodes = 0
     stack = []
     v, sets, opened = 0, ((0, 0, ()),) * t, 0
     while True:
-        tick()
+        nodes += 1
+        if deadline is not None and nodes % _TIMEOUT_CHECK_EVERY == 0:
+            if time.monotonic() > deadline:
+                raise SearchTimeout("minor search exceeded its time budget")
         if opened == t:
             # success: every set connected and every pair adjacent
             found = True
@@ -304,7 +278,7 @@ def _grow_search(adj: Sequence[int], n: int, t: int, stats: _Stats):
                         break
                 i += 1
             if found:
-                return [s[0] for s in sets]
+                return [s[0] for s in sets], nodes
         alive = v < n
         if alive:
             rest = full >> v << v
@@ -335,7 +309,7 @@ def _grow_search(adj: Sequence[int], n: int, t: int, stats: _Stats):
             if alive:
                 stack.append([v, sets, opened, -1 if opened < t else 0])
         if not stack:
-            return None
+            return None, nodes
         frame = stack[-1]
         v, sets, opened, k = frame
         if k == opened:

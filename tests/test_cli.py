@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -20,7 +22,9 @@ from unchoosable import (
     read_adjacency_json,
     read_graph,
     write_graph,
+    verify_construction,
     verify_minor_free,
+    write_adjacency_json,
     write_graph6,
 )
 from unchoosable import cli
@@ -99,7 +103,7 @@ def test_verify_direct_writes_certificate(tmp_path, capsys):
     assert code == 0 and out.startswith("accepted")
 
 
-def test_verify_compositional_with_jobs(capsys):
+def test_verify_compositional_covers_every_class(capsys):
     code, out, _ = run(
         ["verify", "--case", "c", "--t", "2", "--json"], capsys
     )
@@ -415,6 +419,146 @@ def test_readers_raise_only_input_errors(lists, graph, precolor):
             assert doc is graph and doc["n"] > VERTEX_CAP
 
 
+# Paths and other argument words: relative names without "/", so
+# whatever a drawn command writes lands in the test's own directory.
+WORD = st.text(st.characters(exclude_characters="/"), max_size=8)
+
+
+def mostly(usual, rare=WORD):
+    # about one draw in ten from `rare`, so most runs get past argparse
+    return st.sampled_from([usual] * 9 + [rare]).flatmap(lambda drawn: drawn)
+
+
+def _input_files():
+    """Each input file the property writes, with the documents that make
+    a run get past parsing: small graphs, lists that fit them, the
+    certificates of rows c1 and a1, a witness and pins."""
+    tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    lists = [
+        ListAssignment.from_lists(3, [[1, 2, 3], [1, 2], [3]]),
+        ListAssignment.from_lists(2, [[1, 2]] * 3),
+        ListAssignment.from_lists(3, [[1, 2, 3]] * 4),
+    ]
+    certs = [
+        verify_construction(params_for("c", 1), mode="direct"),
+        verify_construction(params_for("a", 1)),
+        {"kind": "branch-set-positive", "t": 3, "branch_sets": [[0], [1], [2]]},
+    ]
+    return {
+        "g.g6": [write_graph6(g) for g in (tri, k4, path)],
+        "h.g6": [write_graph6(g) for g in (tri, k4)],
+        "g.json": [write_adjacency_json(g) for g in (tri, path)],
+        "lists.json": [json.dumps(la.to_json_dict()) for la in lists],
+        "cert.json": [json.dumps(doc) for doc in certs],
+        "pre.json": [json.dumps(doc) for doc in ({"0": 1}, {"1": 2}, {"0": 9})],
+    }
+
+
+INPUT_FILES = _input_files()
+ANY_CONTENT = st.one_of(
+    st.binary(max_size=24),
+    st.text(max_size=24),
+    st.one_of(JSON, LIST_DOCS, GRAPH_DOCS, PRECOLOR_DOCS).map(json.dumps),
+)
+CONTENTS = st.fixed_dictionaries(
+    {name: mostly(st.sampled_from(docs), ANY_CONTENT)
+     for name, docs in INPUT_FILES.items()}
+)
+
+
+def file_arg(*names):
+    return mostly(
+        st.sampled_from(names),
+        st.sampled_from(sorted(INPUT_FILES) + ["out.json", "missing.json", "."]) | WORD,
+    )
+
+
+GRAPH_FILE = file_arg("g.g6", "h.g6", "g.json")
+OUT_FILE = file_arg("out.json", "out.g6")
+# rows from t = 2 on take up to seconds each to verify directly, which
+# the dedicated tests above cover; here t stays where a run is quick
+VALUES = {
+    "--case": mostly(st.sampled_from("abc")),
+    "--t": mostly(st.integers(-1, 1).map(str), st.sampled_from(["1000", "1.5", "x"])),
+    "--mode": mostly(st.sampled_from(["direct", "compositional"])),
+    "--target": mostly(st.integers(-1, 5).map(str)),
+    "--timeout": mostly(st.sampled_from(["0.001", "1", "inf"]),
+                        st.sampled_from(["0", "-1", "nan"]) | WORD),
+    "--clique1": mostly(
+        st.lists(st.integers(-1, 4).map(str), max_size=3).map(",".join)
+    ),
+    "--graph": GRAPH_FILE,
+    "--input": GRAPH_FILE,
+    "--g1": GRAPH_FILE,
+    "--g2": GRAPH_FILE,
+    "--lists": file_arg("lists.json"),
+    "--cert": file_arg("cert.json"),
+    "--precolor": file_arg("pre.json"),
+    "--witness": OUT_FILE,
+    "--coloring": OUT_FILE,
+    "--out": OUT_FILE,
+}
+VALUES["--clique2"] = VALUES["--clique1"]
+SWITCHES = ("--json", "--stats-only", "--help")
+# per command, the flags it requires and the ones it may take
+SPEC = {
+    "build": (("--case", "--t"), ("--stats-only", "--graph", "--lists")),
+    "verify": (("--case", "--t"), ("--mode", "--cert", "--timeout")),
+    "minor": (("--input", "--target"), ("--witness", "--timeout")),
+    "color": (("--graph", "--lists"), ("--precolor", "--coloring")),
+    "degeneracy": (("--input",), ()),
+    "paste": (("--g1", "--clique1", "--g2", "--clique2", "--out"), ()),
+    "table": ((), ()),
+    "check-cert": (("--cert",), ("--graph", "--timeout")),
+}
+STRAY = st.one_of(
+    st.sampled_from(sorted(VALUES)).flatmap(
+        lambda flag: VALUES[flag].map(lambda value: [flag, value])
+    ),
+    st.sampled_from(SWITCHES).map(lambda switch: [switch]),
+    WORD.map(lambda word: [word]),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A command with most of its own flags, in any order, and now and
+    then an unknown command or a stray flag, switch or word."""
+    command = draw(mostly(st.sampled_from(sorted(SPEC))))
+    required, optional = SPEC.get(command, ((), ()))
+    flags = [f for f in required if draw(mostly(st.just(True), st.just(False)))]
+    flags += [f for f in optional + ("--json",) if draw(st.booleans())]
+    args = [[f] if f in SWITCHES else [f, draw(VALUES[f])] for f in flags]
+    args += draw(mostly(st.just([]), st.lists(STRAY, min_size=1, max_size=2)))
+    return [command] + [word for arg in draw(st.permutations(args)) for word in arg]
+
+
+def test_exit_codes_hold_for_any_arguments_and_files(tmp_path, monkeypatch):
+    """Whatever the arguments and the input files hold, the CLI exits 0,
+    1, 2 or 3 and prints no traceback: argparse's usage errors exit 2,
+    and every other failure is caught by `main`."""
+    monkeypatch.chdir(tmp_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=argvs(), contents=CONTENTS)
+    def exits_within_contract(argv, contents):
+        for name, content in contents.items():
+            data = content if isinstance(content, bytes) else content.encode("utf-8")
+            (tmp_path / name).write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+
+    exits_within_contract()
+
+
 def assert_internal_failure(code, err):
     # exit 1 would read as "refuted"; a crash is exit 3 with one line
     assert code == 3
@@ -524,16 +668,26 @@ def test_console_script_installed():
 
 
 def test_json_outputs_reparse(tmp_path, capsys):
-    # every --json mode emits a single readable document
+    # every --json mode emits a single readable document, and every JSON
+    # file a command writes is indented by 2 and ends in one newline
     gp = tmp_path / "g.g6"
     write_graph(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), str(gp))
+    lp, cp, wp, kp = (tmp_path / f"{name}.json" for name in "lcwk")
+    tp = tmp_path / "triangle-lists.json"
+    lists = {"0": [1, 2, 3], "1": [1, 2], "2": [3]}
+    write_text(tp, json.dumps({"palette_size": 3, "lists": lists}))
     for argv in (
         ["table", "--json"],
-        ["build", "--case", "c", "--t", "1", "--json"],
-        ["verify", "--case", "c", "--t", "1", "--json"],
-        ["minor", "--input", str(gp), "--target", "3", "--json"],
+        ["build", "--case", "c", "--t", "1", "--json", "--lists", str(lp)],
+        ["verify", "--case", "c", "--t", "1", "--json", "--cert", str(cp)],
+        ["minor", "--input", str(gp), "--target", "3", "--json", "--witness", str(wp)],
+        ["color", "--graph", str(gp), "--lists", str(tp), "--json",
+         "--coloring", str(kp)],
         ["degeneracy", "--input", str(gp), "--json"],
     ):
         code, out, _ = run(argv, capsys)
         assert code == 0, argv
         json.loads(out)
+    for path in (lp, cp, wp, kp):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name

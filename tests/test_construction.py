@@ -34,6 +34,7 @@ from unchoosable import (
     verify_minor_free,
     verify_not_colorable,
 )
+from unchoosable import construction
 
 
 def test_parameter_table_rows():
@@ -298,11 +299,13 @@ def test_build_equals_folded_pasting():
         assert (folded.n, folded.edges) == (g.n, g.edges)
 
 
-def test_build_respects_vertex_cap():
+def test_build_respects_vertex_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         build(params_for("a", 2))
-    with pytest.raises(ResourceLimitError):
-        build(params_for("b", 1), vertex_cap=5)
+    monkeypatch.setattr(construction, "VERTEX_CAP", 5)
+    with pytest.raises(ResourceLimitError) as err:
+        build(params_for("b", 1))
+    assert "full build needs 10 vertices, cap is 5; use stats-only" in str(err.value)
 
 
 def test_all_lists_have_size_q():

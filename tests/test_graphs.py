@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from unchoosable import (
@@ -15,6 +16,8 @@ from unchoosable import (
     params_for,
     paste,
 )
+
+from unchoosable.graphs import components, reaches_all, union_over
 
 from conftest import oracle_degeneracy, random_graph
 
@@ -196,3 +199,60 @@ def test_degeneracy_order_matches_naive_scan():
             alive.remove(v)
             most = max(most, len(set(g.neighbors(v)) & alive))
         assert res.degeneracy == most
+
+
+def mask(vertices) -> int:
+    return sum(1 << v for v in set(vertices))
+
+
+def walk_instances():
+    """Seeded graphs of up to 12 vertices, each with vertex subsets: the
+    empty set, a single vertex, everything, and random subsets."""
+    rng = random.Random(1103)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.8]))
+        subsets = [set(), {rng.randrange(n)}, set(range(n))]
+        subsets += [{v for v in range(n) if rng.random() < 0.6} for _ in range(4)]
+        yield rng, g, subsets
+
+
+def test_components_match_networkx():
+    for _, g, subsets in walk_instances():
+        nxg = nx.Graph(g.edges)
+        nxg.add_nodes_from(range(g.n))
+        for within in subsets:
+            want = sorted(nx.connected_components(nxg.subgraph(within)), key=min)
+            assert components(g.adj, mask(within)) == [mask(c) for c in want]
+
+
+def test_reaches_all_means_one_component():
+    split = 0
+    for rng, g, subsets in walk_instances():
+        for within in subsets:
+            parts = components(g.adj, mask(within))
+            for _ in range(4):
+                targets = {v for v in within if rng.random() < 0.5}
+                one = any(mask(targets) & ~part == 0 for part in parts)
+                want = bool(targets) and one
+                split += bool(targets) and not one
+                assert reaches_all(g.adj, mask(within), mask(targets)) == want
+    assert split > 100  # targets split across parts were drawn
+    # a path 0-1-2 with its middle left out: the ends lie in two parts
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert reaches_all(path.adj, 0b111, 0b101)
+    assert not reaches_all(path.adj, 0b101, 0b101)
+    assert not reaches_all(path.adj, 0, 0)
+
+
+def test_union_over_is_a_set_union():
+    for rng, g, subsets in walk_instances():
+        table = [rng.getrandbits(8) for _ in range(g.n)]
+        for within in subsets:
+            want = set()
+            for u in within:
+                want |= {c for c in range(8) if table[u] >> c & 1}
+            assert union_over(table, mask(within)) == mask(want)
+            assert union_over(g.adj, mask(within)) == mask(
+                set().union(*(g.neighbors(u) for u in within))
+            )

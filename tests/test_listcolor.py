@@ -108,6 +108,19 @@ def test_precoloring_pins_and_validates():
         l_colorable(g, la, {9: 1})
 
 
+def test_colors_far_apart_cost_only_the_colors_in_use():
+    # as bit c-1 of a mask, color 10**30 would need about 10**29 bytes
+    far = 10**30
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    la = ListAssignment.from_lists(far, [[1, far], [far, 7], [1, far]])
+    res = l_colorable(g, la)
+    assert res.colorable and res.coloring == (1, 7, 1)
+    res = l_colorable(g, la, precoloring={1: far})
+    assert res.colorable and res.coloring == (1, far, 1)
+    res = l_colorable(g, la, precoloring={0: far})
+    assert res.colorable and res.coloring == (far, 7, 1)
+
+
 def test_conflicting_precoloring_is_uncolorable_not_an_error():
     g = Graph.from_edges(2, [(0, 1)])
     la = uniform(2, 2, 2)

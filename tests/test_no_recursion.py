@@ -1,8 +1,10 @@
 """The list-coloring solver, the degeneracy order, the clique-minor
-reductions and search, and the branch-set witness check run on whole
-input graphs, up to VERTEX_CAP vertices.  A search that recursed once
-per vertex would hit Python's recursion limit long before that, so none
-of them may call itself, directly or through a chain of calls."""
+reductions and search, the branch-set witness check, and the
+vertex-mask walks in graphs.py that the solver and the check share run
+on whole input graphs, up to VERTEX_CAP vertices.  A search that
+recursed once per vertex would hit Python's recursion limit long before
+that, so none of them may call itself, directly or through a chain of
+calls."""
 
 import ast
 from pathlib import Path
@@ -55,9 +57,11 @@ def test_solver_module_does_not_recurse():
     assert not found, f"recursive functions in listcolor.py: {found}"
 
 
-def test_degeneracy_does_not_recurse():
-    found = recursive_functions(SRC / "graphs.py", {"degeneracy"})
-    assert not found, f"degeneracy reaches recursive functions: {found}"
+def test_graphs_module_does_not_recurse():
+    names = {"degeneracy", "union_over", "reaches_all", "components"}
+    assert names <= set(_call_graph(SRC / "graphs.py"))
+    found = recursive_functions(SRC / "graphs.py")
+    assert not found, f"recursive functions in graphs.py: {found}"
 
 
 def test_minor_module_does_not_recurse():
