@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graphs import degeneracy as graph_degeneracy
 from .graphs import paste
-from .graphio import load_json, read_graph, write_graph, write_json
+from .graphio import load_json, open_path, read_graph, write_graph, write_json
 from .listcolor import l_colorable, precoloring_from_json_dict, read_list_assignment
 from .minors import has_clique_minor
 
@@ -129,7 +129,7 @@ def _cmd_color(args) -> int:
     la = read_list_assignment(args.lists)
     pre = None
     if args.precolor:
-        with open(args.precolor, "r", encoding="utf-8") as fh:
+        with open_path(args.precolor, "r", encoding="utf-8") as fh:
             pre = precoloring_from_json_dict(load_json(fh.read()))
     res = l_colorable(g, la, precoloring=pre)
     if res.colorable:
@@ -193,7 +193,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check_cert(args) -> int:
-    with open(args.cert, "r", encoding="utf-8") as fh:
+    with open_path(args.cert, "r", encoding="utf-8") as fh:
         cert = load_json(fh.read())
     graph = read_graph(args.graph) if args.graph else None
     res = check_certificate(cert, graph, timeout=args.timeout)

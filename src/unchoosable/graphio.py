@@ -129,9 +129,19 @@ def load_json(text: str) -> object:
         raise ParseError("JSON nested too deeply") from e
 
 
+def open_path(path: str, mode: str, encoding: str):
+    """`open(path, mode, encoding=encoding)`, with a path that no file
+    can have (a NUL byte, an unpaired surrogate) as InvalidArgumentError:
+    it is an input error, not a failure of the tool."""
+    try:
+        return open(path, mode, encoding=encoding)
+    except ValueError as e:  # UnicodeEncodeError is one too
+        raise InvalidArgumentError(f"cannot open {path!r}: {e}") from e
+
+
 def write_json(path: str, doc: object) -> None:
     """Write `doc` to `path` as JSON indented by 2, newline-terminated."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_path(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -182,13 +192,13 @@ def write_graph(g: Graph, path: str) -> None:
         payload = write_graph6(g) + "\n"
     else:
         payload = write_adjacency_json(g) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
+    with open_path(path, "w", encoding="ascii") as fh:
         fh.write(payload)
 
 
 def read_graph(path: str) -> Graph:
     """Read by extension, falling back to content sniffing."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open_path(path, "r", encoding="ascii") as fh:
         text = fh.read()
     if path.endswith((".g6", ".graph6")):
         return read_graph6(text)

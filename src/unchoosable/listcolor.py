@@ -2,12 +2,18 @@
 
 A list assignment gives every vertex a finite set of allowed colors.
 The graph is L-colorable when a proper coloring exists that draws each
-vertex's color from its own list.  The backtracking solver carries
-per-vertex domains as bitmasks (one bit per color that some list names,
-in ascending order), picks the smallest remaining domain first (lowest
-id on ties, from one vertex mask per domain size), forward-checks
-neighbors, and solves the connected components of the uncolored
-subgraph one at a time, so independent parts never multiply.
+vertex's color from its own list.  The backtracking solver numbers the
+colors that some list names in ascending order and holds the domains
+as one vertex mask per color (`has[i]`: the vertices whose domain
+still holds color i) and one per domain size (`by_size[k]`).  It picks
+the smallest remaining domain first (lowest id on ties), and forward
+checks with one AND per color tried: `hit = live & has[i]` are the
+uncolored neighbours that lose color i, the color fails if one of them
+is in `by_size[1]`, and otherwise all of them lose it at once and only
+the size classes that `hit` meets move down by one.  A vertex's domain
+is read from `has` only when it becomes a choice point.  The connected
+components of the uncolored subgraph are solved one at a time, so
+independent parts never multiply.
 
 The search keeps an explicit stack and never recurses, so its depth is
 not bounded by Python's recursion limit.  Pending components sit on a
@@ -18,12 +24,13 @@ colored, the rest of its component is re-split (`graphs.components`)
 only when that vertex was a cut vertex: it had two or more uncolored
 neighbors and a search from one of them does not reach all the others
 (`graphs.reaches_all`).  All domain edits go through one global trail
-so a failing component rolls back its siblings' work too.
+of per-color hit masks, one `(color, hit)` entry per coloring that
+removed a color, so a failing component rolls back its siblings' work
+too.
 
-The parts of a split are solved tightest first: fewest distinct colors
-in the union of their domains (`graphs.union_over`), split order
-(lowest vertex) on ties, with the keys taken once when the choice point
-is made.  A part that cannot be colored is then usually met before its
+The parts of a split are solved tightest first: fewest colors whose
+mask meets the part, split order (lowest vertex) on ties, with the keys
+taken once when the choice point is made.  A part that cannot be colored is then usually met before its
 colorable siblings are solved, which the vertex that split them would
 otherwise redo under each of its colors.  The last split is kept as one
 (rest, parts) pair, so a later choice point that leaves the same rest
@@ -42,8 +49,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InvalidArgumentError, PreconditionError, SearchTimeout
-from .graphio import load_json
-from .graphs import Graph, _bits, components, reaches_all, union_over
+from .graphio import load_json, open_path
+from .graphs import Graph, components, reaches_all, union_over
 
 # with a timeout the clock is read once per this many backtracks; every
 # failed branch ends in one, so no long search goes unchecked
@@ -150,38 +157,46 @@ def l_colorable(
         raise InvalidArgumentError(
             f"list assignment covers {la.n} vertices, graph has {g.n}"
         )
-    # a mask is as wide as the colors in use: a list may name a color
-    # far above the rest, which as bit c-1 would cost c/8 bytes a vertex
+    pins = precoloring or {}
+    for v, c in pins.items():
+        if not (0 <= v < g.n):
+            raise InvalidArgumentError(f"precolored vertex {v} out of range")
+        if c not in la.lists[v]:
+            raise PreconditionError(
+                f"precoloring pins vertex {v} to {c}, not in its list"
+            )
+    # color i is the i-th smallest color in use: a list may name a color
+    # far above the rest, and a mask per color up to it would cost c masks
     colors = sorted({c for row in la.lists for c in row})
-    bit_of = {c: 1 << i for i, c in enumerate(colors)}
-    domains = []
-    for row in la.lists:
-        d = 0
+    index = {c: i for i, c in enumerate(colors)}
+    # has[i]: the vertices whose domain holds color i.  by_size[k]: the
+    # vertices whose domain has k colors; forward checking never empties
+    # a domain, so by_size[0] stays 0 once the search starts.
+    has = [0] * len(colors)
+    domains = _Domains(has, index, la.lists)
+    by_size = [0] * (domains.widest + 1)
+    for v, row in enumerate(la.lists):
+        if v in pins:
+            row = (pins[v],)
+        ub = 1 << v
         for c in row:
-            d |= bit_of[c]
-        domains.append(d)
-    if precoloring:
-        for v, c in precoloring.items():
-            if not (0 <= v < g.n):
-                raise InvalidArgumentError(f"precolored vertex {v} out of range")
-            if c not in la.lists[v]:
-                raise PreconditionError(
-                    f"precoloring pins vertex {v} to {c}, not in its list"
-                )
-            domains[v] = bit_of[c]
-    if not all(domains):
+            has[index[c]] |= ub
+        by_size[len(row)] |= ub
+    if by_size[0]:
         return SolveResult(False, None, 0)
+    # bit k set iff by_size[k] is not empty
+    filled = sum(1 << k for k, vs in enumerate(by_size) if vs)
 
     adj = g.adj
     result = [0] * g.n
-    # by_size[k]: the vertices whose domain has k colors.  Forward
-    # checking never empties a domain, so by_size[0] stays 0.
-    by_size = [0] * (max((d.bit_count() for d in domains), default=0) + 1)
-    for v, d in enumerate(domains):
-        by_size[d.bit_count()] |= 1 << v
-    trail: list[tuple[int, int]] = []  # (vertex, previous domain)
-    # a choice point: [vertex, untried colors, trail mark, live neighbours,
-    # goals once the vertex is colored]
+    # one entry per coloring that removed its color from some neighbour:
+    # (color, those neighbours, shift).  Masks on the trail and the choice
+    # stack are held shifted down by the lowest live neighbour's id: whole
+    # n-bit masks would add about n²/8 bytes on a long forced chain.
+    trail: list[tuple[int, int, int]] = []
+    # a choice point: [vertex, untried colors, trail mark, live neighbours
+    # shifted down by their lowest bit, that shift, goals once the vertex
+    # is colored]
     choices: list[list] = []
     backtracks = 0
     # the last split made and its parts: a choice point that leaves the
@@ -206,11 +221,10 @@ def l_colorable(
         # the rest stays connected unless v was a cut vertex; its parts,
         # tightest first, cut back to just above v's choice point, pushed
         # next.  The last split's rest is known not to be connected.
+        lone = not live & (live - 1)  # at most one live neighbour
         if not rest:
             after = goals
-        elif rest != split_rest and (
-            not live & (live - 1) or reaches_all(adj, rest, live)
-        ):
+        elif rest != split_rest and (lone or reaches_all(adj, rest, live)):
             after = (rest, goals)
         else:
             if rest != split_rest:
@@ -218,7 +232,9 @@ def l_colorable(
             after = _push_parts(
                 _order(split_parts, domains), ~(len(choices) + 1), goals
             )
-        cp = [v, domains[v], len(trail), tuple(_bits(live)), after]
+        first = live if lone else live & -live  # the lowest live neighbour
+        shift = max(first.bit_length() - 1, 0)
+        cp = [v, domains[v], len(trail), live >> shift, shift, after]
         choices.append(cp)
         # descend into the first color that survives forward checking,
         # backing up the choice points as their colors run out
@@ -227,19 +243,17 @@ def l_colorable(
             if untried:
                 bit = untried & -untried
                 cp[1] = untried ^ bit
-                result[cp[0]] = bit.bit_length()
-                for u in cp[3]:
-                    d = domains[u]
-                    if d & bit:
-                        if d == bit:
-                            break
-                        trail.append((u, d))
-                        domains[u] = d ^ bit
-                        k, ub = d.bit_count(), 1 << u
-                        by_size[k] ^= ub
-                        by_size[k - 1] ^= ub
-                else:
-                    goals = cp[4]
+                i = bit.bit_length() - 1
+                result[cp[0]] = i
+                # the live neighbours that still have color i: all lose
+                # it at once, unless one of them has nothing else
+                hit = (cp[3] << cp[4]) & has[i]
+                if not hit & by_size[1]:
+                    if hit:
+                        trail.append((i, hit >> cp[4], cp[4]))
+                        has[i] ^= hit
+                        filled = _move(by_size, filled, hit, -1)
+                    goals = cp[5]
                     break
             else:
                 choices.pop()
@@ -248,25 +262,73 @@ def l_colorable(
                 cp = choices[-1]
             mark = cp[2]
             while len(trail) > mark:
-                u, d = trail.pop()
-                domains[u] = d
-                k, ub = d.bit_count(), 1 << u
-                by_size[k] ^= ub
-                by_size[k - 1] ^= ub
+                i, hit, shift = trail.pop()
+                hit <<= shift
+                has[i] |= hit
+                filled = _move(by_size, filled, hit, 1)
             backtracks += 1
             if deadline is not None and backtracks % _TIMEOUT_CHECK_EVERY == 0:
                 if time.monotonic() > deadline:
                     raise SearchTimeout("coloring search exceeded its time budget")
-    return SolveResult(True, tuple(colors[i - 1] for i in result), backtracks)
+    return SolveResult(True, tuple(colors[i] for i in result), backtracks)
 
 
-def _order(parts: list[int], domains: list[int]) -> list[int]:
-    """`parts` by the number of colors their domains offer in all,
-    fewest first; ties keep their order."""
+class _Domains:
+    """Vertex v's domain as a color mask (bit i for color i), read from
+    the per-color vertex masks `has` through v's list, so nothing per
+    vertex is stored or kept up to date."""
+
+    __slots__ = ("has", "index", "lists", "widest")
+
+    def __init__(self, has: list[int], index: dict[int, int], lists) -> None:
+        self.has, self.index, self.lists = has, index, lists
+        self.widest = max(map(len, lists), default=0)
+
+    def __getitem__(self, v: int) -> int:
+        ub, domain = 1 << v, 0
+        for c in self.lists[v]:
+            i = self.index[c]
+            if self.has[i] & ub:
+                domain |= 1 << i
+        return domain
+
+
+def _order(parts: list[int], domains: _Domains) -> list[int]:
+    """`parts` by the number of colors that some vertex of theirs still
+    has, fewest first; ties keep their order.  A part is keyed by one AND
+    per color or, when its vertices have fewer list entries in all than
+    there are colors, by the union of their domains: many small parts
+    under many colors then cost their vertices, not parts times colors."""
     if len(parts) < 2:
         return parts
-    keys = [union_over(domains, comp).bit_count() for comp in parts]
+    has = domains.has
+    keys = [
+        sum(1 for h in has if h & comp)
+        if comp.bit_count() * domains.widest >= len(has)
+        else union_over(domains, comp).bit_count()
+        for comp in parts
+    ]
     return [parts[i] for i in sorted(range(len(parts)), key=keys.__getitem__)]
+
+
+def _move(by_size: list[int], filled: int, hit: int, step: int) -> int:
+    """Move every vertex of `hit` from its size class k to k + step,
+    visiting only the classes that `filled` marks as non-empty, so a
+    long list costs no walk over the sizes it does not have; returns the
+    updated `filled`."""
+    k = 0 if step > 0 else 1  # no vertex of class 1 is ever hit
+    while hit:
+        above = filled >> (k + 1)
+        k += (above & -above).bit_length()
+        moved = by_size[k] & hit
+        if moved:
+            hit ^= moved
+            by_size[k] ^= moved
+            by_size[k + step] |= moved
+            filled |= 1 << (k + step)
+            if not by_size[k]:
+                filled ^= 1 << k
+    return filled
 
 
 def _push_parts(parts: list[int], cut: int, goals: tuple | None) -> tuple | None:
@@ -278,6 +340,6 @@ def _push_parts(parts: list[int], cut: int, goals: tuple | None) -> tuple | None
 
 
 def read_list_assignment(path: str) -> ListAssignment:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_path(path, "r", encoding="utf-8") as fh:
         doc = load_json(fh.read())
     return ListAssignment.from_json_dict(doc)

@@ -365,6 +365,22 @@ def test_usage_error_exits_2(tmp_path, capsys):
         code, _, err = run(argv, capsys)
         assert code == 2 and err.startswith("error: "), (argv, err)
         assert "nested too deeply" in err
+    # paths no file can have, read and written at every place a file is
+    # opened: a NUL byte, and an unpaired surrogate, which no encoding
+    # of a file name takes
+    for bad in ("a\x00b", "a\ud800b"):
+        for argv in (
+            ["minor", "--input", bad, "--target", "3"],
+            ["check-cert", "--cert", bad],
+            ["color", "--graph", str(gp), "--lists", bad],
+            ["color", "--graph", str(gp), "--lists", str(lp), "--precolor", bad],
+            ["build", "--case", "c", "--t", "1", "--graph", bad + ".g6"],
+            ["build", "--case", "c", "--t", "1", "--lists", bad],
+            ["verify", "--case", "c", "--t", "1", "--cert", bad],
+            ["color", "--graph", str(gp), "--lists", str(lp), "--coloring", bad],
+        ):
+            code, _, err = run(argv, capsys)
+            assert code == 2 and err.startswith("error: cannot open "), (argv, err)
 
 
 JSON = st.recursive(
@@ -615,11 +631,12 @@ def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_timeout_exits_3(capsys):
-    # b2 direct: a 5188-vertex graph whose refutation search runs for
-    # seconds; the budget stops it with one line and no traceback
+    # b2 direct: a 5188-vertex graph whose refutation search takes about
+    # half a second and is polled every 256 backtracks (about 20 ms);
+    # the budget stops it with one line and no traceback
     t0 = time.monotonic()
     code, out, err = run(
-        ["verify", "--case", "b", "--t", "2", "--mode", "direct", "--timeout", "0.5"],
+        ["verify", "--case", "b", "--t", "2", "--mode", "direct", "--timeout", "0.05"],
         capsys,
     )
     assert code == 3 and out == ""
@@ -630,8 +647,9 @@ def test_verify_timeout_exits_3(capsys):
 
 def test_check_cert_timeout_bounds_the_re_solve(tmp_path, capsys):
     # a direct-mode b2 bundle: the replay builds the 5188-vertex graph and
-    # solves it, which takes several seconds; the counting-bound child
-    # and the manifest take none.  Compositional bundles run no solver.
+    # solves it, which takes about half a second; the counting-bound
+    # child and the manifest take none.  Compositional bundles run no
+    # solver.
     params = params_for("b", 2)
     bundle = {
         "kind": "construction-verified",
@@ -641,7 +659,7 @@ def test_check_cert_timeout_bounds_the_re_solve(tmp_path, capsys):
     cp = tmp_path / "b2.json"
     write_text(cp, json.dumps(bundle))
     t0 = time.monotonic()
-    code, _, err = run(["check-cert", "--cert", str(cp), "--timeout", "0.5"], capsys)
+    code, _, err = run(["check-cert", "--cert", str(cp), "--timeout", "0.05"], capsys)
     assert code == 3 and "resource limit" in err
     assert time.monotonic() - t0 < 5.0
 

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from unchoosable import (
     params_for,
 )
 from unchoosable.construction import verify_not_colorable
-from unchoosable.listcolor import _order
+from unchoosable.listcolor import _Domains, _order
 
 from conftest import oracle_list_colorable, random_graph, random_lists
 
@@ -167,13 +168,15 @@ def test_solver_matches_product_oracle():
 # The solver's search tree is part of what a direct-mode certificate
 # records (its backtrack count), so these counts are pinned: a change to
 # the search that moves one breaks replay of certificates already
-# written.  Solving the parts of a split tightest first leaves every
-# count on these rows unchanged.
+# written.  Solving the parts of a split tightest first moved b2's count
+# from 7116 to 5916, so a b2 certificate written before that does not
+# replay.
 DIRECT_CERTIFICATES = {
     ("b", 1): {"q": 2, "r": 2, "n": 10, "palette_size": 3, "backtracks": 6},
     ("c", 1): {"q": 1, "r": 1, "n": 3, "palette_size": 2, "backtracks": 1},
     ("a", 1): {"q": 4, "r": 3, "n": 195, "palette_size": 5, "backtracks": 136},
     ("c", 2): {"q": 5, "r": 3, "n": 503, "palette_size": 6, "backtracks": 685},
+    ("b", 2): {"q": 6, "r": 4, "n": 5188, "palette_size": 7, "backtracks": 5916},
 }
 
 
@@ -245,6 +248,25 @@ def test_long_path_needs_no_recursion():
     assert res.coloring[:4] == (1, 2, 1, 2) and res.backtracks == 0
 
 
+def test_long_forced_chain_keeps_no_mask_per_step():
+    # each coloring removes a color from the next vertex of the path.
+    # Held as whole n-bit masks, the choice stack's live neighbours and
+    # the trail's hit masks would add about n**2/8 bytes (some 50 MB
+    # here) on top of the goal list's rest masks
+    n = 20_000
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    la = uniform(n, 2, 2)
+    g.adj  # noqa: B018 - build the masks outside the traced run
+    tracemalloc.start()
+    try:
+        res = l_colorable(g, la)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.colorable and res.backtracks == 0
+    assert peak < 80e6, peak
+
+
 def test_vertex_choice_does_not_scan_the_component():
     # with three colors per vertex no domain is ever down to one color
     # ahead of the search, so a choice that scanned the uncolored
@@ -288,16 +310,35 @@ def test_cut_vertex_splits_the_rest():
     assert not res.colorable and res.backtracks == 2
 
 
+def _color_masks(lists: list[list[int]]) -> _Domains:
+    """The solver's view of `lists` before any vertex is colored: one
+    vertex mask per color in use, and the domains read through it."""
+    colors = sorted({c for row in lists for c in row})
+    index = {c: i for i, c in enumerate(colors)}
+    has = [0] * len(colors)
+    for v, row in enumerate(lists):
+        for c in row:
+            has[index[c]] |= 1 << v
+    return _Domains(has, index, lists)
+
+
 def test_order_puts_the_tightest_part_first():
-    # parts {0}, {1, 2}, {3}, {4}: 3 colors, 2 colors ({1} | {2}), 2, 1
-    domains = [0b111, 0b001, 0b010, 0b011, 0b100]
-    parts = [0b00001, 0b00110, 0b01000, 0b10000]
-    assert _order(parts, domains) == [0b10000, 0b00110, 0b01000, 0b00001]
-    # equal keys keep the order they came in
-    assert _order([0b01000, 0b00110], domains) == [0b01000, 0b00110]
-    assert _order([0b00110, 0b01000], domains) == [0b00110, 0b01000]
-    one = [0b11111]
-    assert _order(one, domains) is one
+    # vertex 4 has lost color 4, so parts {0}, {1, 2}, {3}, {4} meet
+    # 3 colors, 2 ({1} | {2}), 2 and 1.  Vertex 5 names every color of
+    # the parts, so they are keyed by one AND per color; vertices naming
+    # nine more colors make them small enough to be keyed by walking
+    # their domains instead.
+    lists = [[1, 2, 3], [1], [2], [1, 2], [3, 4], [1, 2, 3, 4]]
+    for extra in ([], [[5, 6, 7], [8, 9, 10], [11, 12, 13]]):
+        domains = _color_masks(lists + extra)
+        domains.has[3] ^= 1 << 4
+        parts = [0b00001, 0b00110, 0b01000, 0b10000]
+        assert _order(parts, domains) == [0b10000, 0b00110, 0b01000, 0b00001]
+        # equal keys keep the order they came in
+        assert _order([0b01000, 0b00110], domains) == [0b01000, 0b00110]
+        assert _order([0b00110, 0b01000], domains) == [0b00110, 0b01000]
+        one = [0b11111]
+        assert _order(one, domains) is one
 
 
 def test_blocked_part_is_met_before_its_colorable_siblings():
