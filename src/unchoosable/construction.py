@@ -236,8 +236,6 @@ class ConstructionStats:
     n_vertices: int
     n_edges: int
     n_gadgets: int
-    gadget_vertices: int
-    gadget_edges: int
 
     def manifest(self, mode: str) -> dict:
         p = self.params
@@ -268,8 +266,6 @@ def build_stats(params: ConstructionParams) -> ConstructionStats:
         n_vertices=r + copies * (gv - r),
         n_edges=copies * (ge - root_edges) + root_edges,
         n_gadgets=copies,
-        gadget_vertices=gv,
-        gadget_edges=ge,
     )
 
 

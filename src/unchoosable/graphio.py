@@ -53,7 +53,12 @@ def read_graph6(text: str) -> Graph:
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as e:
+        raise ParseError(
+            f"non-ASCII character U+{ord(s[e.start]):04X}", offset=e.start
+        ) from None
     if not data:
         raise ParseError("empty graph6 input", offset=0)
     for i, b in enumerate(data):

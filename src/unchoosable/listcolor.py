@@ -7,39 +7,43 @@ colors that some list names in ascending order and holds the domains
 as one vertex mask per color (`has[i]`: the vertices whose domain
 still holds color i) and one per domain size (`by_size[k]`).  It picks
 the smallest remaining domain first (lowest id on ties), and forward
-checks with one AND per color tried: `hit = live & has[i]` are the
-uncolored neighbours that lose color i, the color fails if one of them
-is in `by_size[1]`, and otherwise all of them lose it at once and only
-the size classes that `hit` meets move down by one.  A vertex's domain
-is read from `has` only when it becomes a choice point.  The connected
-components of the uncolored subgraph are solved one at a time, so
-independent parts never multiply.
+checks with one AND per color tried: `hit = adj[v] & uncolored & has[i]`
+are the uncolored neighbours that lose color i, the color fails if one
+of them is in `by_size[1]`, and otherwise all of them lose it at once
+and only the size classes that `hit` meets move down by one.  A
+vertex's domain is read from `has` only when it becomes a choice point.
+The connected components of the uncolored subgraph are solved one at a
+time, so independent parts never multiply.
 
 The search keeps an explicit stack and never recurses, so its depth is
-not bounded by Python's recursion limit.  Pending components sit on a
-persistent goal list; when a component is solved, a cut marker behind
-it drops the choice points made inside it, and a later failure backs
-up to the vertex whose coloring split it off.  After a vertex is
-colored, the rest of its component is re-split (`graphs.components`)
-only when that vertex was a cut vertex: it had two or more uncolored
+not bounded by Python's recursion limit.  One `uncolored` mask says
+what is left.  A goal is a (part, cut) pair: once no vertex of the part
+is uncolored, the choice points made inside it, above `cut`, are
+dropped, so a later failure backs up to the vertex whose coloring split
+it off.  After a vertex is colored, the rest of its part is re-split
+(`graphs.components`), the parts going on top of the goal list, only
+when that vertex was a cut vertex: it had two or more uncolored
 neighbors and a search from one of them does not reach all the others
-(`graphs.reaches_all`).  All domain edits go through one global trail
-of per-color hit masks, one `(color, hit)` entry per coloring that
-removed a color, so a failing component rolls back its siblings' work
-too.
+(`graphs.reaches_all`).  Each coloring pushes one `(vertex, color,
+hit)` entry on one global trail, and undoing it restores the vertex to
+`uncolored` and the color to `hit`, so a failing component rolls back
+its siblings' work too.  A choice point is [vertex, untried colors,
+trail mark, goals] and holds no mask of its own, and `hit` is kept
+shifted down to its lowest vertex, so memory is linear on a long forced
+chain: a 2-color path of 2·10⁴ vertices peaks at 5.6 MB traced.
 
 The parts of a split are solved tightest first: fewest colors whose
 mask meets the part, split order (lowest vertex) on ties, with the keys
-taken once when the choice point is made.  A part that cannot be colored is then usually met before its
-colorable siblings are solved, which the vertex that split them would
-otherwise redo under each of its colors.  The last split is kept as one
-(rest, parts) pair, so a later choice point that leaves the same rest
-reuses its parts instead of searching them out again.  The order
-changes no answer: parts share no edges, so each part's first coloring
-does not depend on when it is solved, and a split vertex still keeps
-its first color under which every part is colorable.  Only the
-backtrack count can differ, where a failing part used to come after
-others.
+taken once when the choice point is made.  A part that cannot be
+colored is then usually met before its colorable siblings are solved,
+which the vertex that split them would otherwise redo under each of its
+colors.  The last split is kept as one (rest, parts) pair, so a later
+choice point that leaves the same rest reuses its parts instead of
+searching them out again.  The order changes no answer: parts share no
+edges, so each part's first coloring does not depend on when it is
+solved, and a split vertex still keeps its first color under which
+every part is colorable.  Only the backtrack count can differ, where a
+failing part used to come after others.
 """
 
 from __future__ import annotations
@@ -189,25 +193,25 @@ def l_colorable(
 
     adj = g.adj
     result = [0] * g.n
-    # one entry per coloring that removed its color from some neighbour:
-    # (color, those neighbours, shift).  Masks on the trail and the choice
-    # stack are held shifted down by the lowest live neighbour's id: whole
-    # n-bit masks would add about n²/8 bytes on a long forced chain.
-    trail: list[tuple[int, int, int]] = []
-    # a choice point: [vertex, untried colors, trail mark, live neighbours
-    # shifted down by their lowest bit, that shift, goals once the vertex
-    # is colored]
+    uncolored = (1 << g.n) - 1
+    # one (vertex, color, hit >> shift, shift) entry per coloring, `hit`
+    # shifted down to its lowest vertex: whole n-bit masks would add
+    # about n²/8 bytes on a long forced chain
+    trail: list[tuple[int, int, int, int]] = []
+    # a choice point: [vertex, untried colors, trail mark, goals after it]
     choices: list[list] = []
     backtracks = 0
     # the last split made and its parts: a choice point that leaves the
     # same rest reuses them instead of searching the rest again
     split_rest, split_parts = 0, []
 
-    goals = _push_parts(_order(components(adj, (1 << g.n) - 1), domains), ~0, None)
+    goals = _push_parts(_order(components(adj, uncolored), domains), 0, None)
     while goals is not None:
-        comp, goals = goals
-        if comp < 0:  # a part of a split is solved: drop its choice points
-            del choices[~comp:]
+        part, cut, below = goals
+        comp = part & uncolored
+        if not comp:  # the part is solved: drop its choice points
+            del choices[cut:]
+            goals = below
             continue
         # smallest domain first, lowest id on ties
         k = 1
@@ -219,41 +223,34 @@ def l_colorable(
         rest = comp ^ low
         live = adj[v] & rest
         # the rest stays connected unless v was a cut vertex; its parts,
-        # tightest first, cut back to just above v's choice point, pushed
-        # next.  The last split's rest is known not to be connected.
-        lone = not live & (live - 1)  # at most one live neighbour
-        if not rest:
-            after = goals
-        elif rest != split_rest and (lone or reaches_all(adj, rest, live)):
-            after = (rest, goals)
-        else:
+        # tightest first, cut back to just above v's choice point, go on
+        # top.  The last split's rest is known not to be connected.
+        if rest == split_rest or live & (live - 1) and not reaches_all(adj, rest, live):
             if rest != split_rest:
                 split_rest, split_parts = rest, components(adj, rest)
-            after = _push_parts(
-                _order(split_parts, domains), ~(len(choices) + 1), goals
-            )
-        first = live if lone else live & -live  # the lowest live neighbour
-        shift = max(first.bit_length() - 1, 0)
-        cp = [v, domains[v], len(trail), live >> shift, shift, after]
+            goals = _push_parts(_order(split_parts, domains), len(choices) + 1, goals)
+        cp = [v, domains[v], len(trail), goals]
         choices.append(cp)
         # descend into the first color that survives forward checking,
         # backing up the choice points as their colors run out
         while True:
-            untried = cp[1]
+            v, untried = cp[0], cp[1]
             if untried:
                 bit = untried & -untried
                 cp[1] = untried ^ bit
                 i = bit.bit_length() - 1
-                result[cp[0]] = i
-                # the live neighbours that still have color i: all lose
-                # it at once, unless one of them has nothing else
-                hit = (cp[3] << cp[4]) & has[i]
+                result[v] = i
+                # the uncolored neighbours that still have color i: all
+                # lose it at once, unless one of them has nothing else
+                hit = adj[v] & uncolored & has[i]
                 if not hit & by_size[1]:
+                    uncolored ^= 1 << v
+                    shift = (hit & -hit).bit_length() - 1 if hit else 0
+                    trail.append((v, i, hit >> shift, shift))
                     if hit:
-                        trail.append((i, hit >> cp[4], cp[4]))
                         has[i] ^= hit
                         filled = _move(by_size, filled, hit, -1)
-                    goals = cp[5]
+                    goals = cp[3]
                     break
             else:
                 choices.pop()
@@ -262,10 +259,12 @@ def l_colorable(
                 cp = choices[-1]
             mark = cp[2]
             while len(trail) > mark:
-                i, hit, shift = trail.pop()
-                hit <<= shift
-                has[i] |= hit
-                filled = _move(by_size, filled, hit, 1)
+                u, i, hit, shift = trail.pop()
+                uncolored |= 1 << u
+                if hit:
+                    hit <<= shift
+                    has[i] |= hit
+                    filled = _move(by_size, filled, hit, 1)
             backtracks += 1
             if deadline is not None and backtracks % _TIMEOUT_CHECK_EVERY == 0:
                 if time.monotonic() > deadline:
@@ -332,10 +331,9 @@ def _move(by_size: list[int], filled: int, hit: int, step: int) -> int:
 
 
 def _push_parts(parts: list[int], cut: int, goals: tuple | None) -> tuple | None:
-    """Put `parts` on the goal list in order, each followed by the cut
-    marker `cut` (~height of the choice stack to cut back to)."""
-    for comp in reversed(parts):
-        goals = (comp, (cut, goals))
+    """Put `parts` on the goal list in order as (part, cut, below) entries."""
+    for part in reversed(parts):
+        goals = (part, cut, goals)
     return goals
 
 

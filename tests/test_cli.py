@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -683,6 +685,40 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "2 3 5 6 7 9 10 11 13" in proc.stdout
+
+
+def test_check_cert_exit_codes_hold_under_python_O(tmp_path, capsys):
+    # `python -O` strips assert statements: a check written as one would
+    # pass the tampered certificates, and an internal failure would not
+    # exit 2 on the malformed one
+    cp = tmp_path / "b1.json"
+    argv = ["verify", "--case", "b", "--t", "1", "--mode", "compositional"]
+    assert run(argv + ["--cert", str(cp)], capsys)[0] == 0
+    cert = json.loads(cp.read_text(encoding="utf-8"))
+    n_gadgets = json.loads(json.dumps(cert))
+    n_gadgets["manifest"]["n_gadgets"] = 5
+    partition = json.loads(json.dumps(cert))
+    partition["children"][0]["children"][0]["partition"] = [[0, 1, 2], [3]]
+    cases = [
+        (cert, 0),
+        (n_gadgets, 1),
+        (partition, 1),
+        (json.dumps(cert)[:-1], 2),
+        ({"kind": "construction-verified", "manifest": []}, 1),
+    ]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for doc, want in cases:
+        write_text(cp, doc if isinstance(doc, str) else json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "unchoosable.cli", "check-cert",
+             "--cert", str(cp)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == want, (doc, proc.stdout, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 def test_json_outputs_reparse(tmp_path, capsys):

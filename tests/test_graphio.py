@@ -99,6 +99,15 @@ def test_graph6_rejects_invalid_byte():
     assert err.value.offset is not None
 
 
+def test_graph6_rejects_non_ascii():
+    # a non-ASCII character replaced by "?", itself a valid graph6 byte,
+    # would make "Bé" an edgeless graph on 3 vertices
+    for text, offset in (("Bé", 1), ("é", 0), ("A_\ud800", 2)):
+        with pytest.raises(ParseError) as err:
+            read_graph6(text)
+        assert err.value.offset == offset
+
+
 def test_graph6_rejects_empty():
     with pytest.raises(ParseError):
         read_graph6("")
