@@ -52,7 +52,6 @@ from .construction import (
     ConstructionParams,
     ConstructionStats,
     GadgetTemplate,
-    PatternClass,
     build,
     build_stats,
     color_pattern_classes,
@@ -81,7 +80,6 @@ __all__ = [
     "ListAssignment",
     "MinorAnswer",
     "ParseError",
-    "PatternClass",
     "PreconditionError",
     "ResourceLimitError",
     "SearchTimeout",

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graphs import degeneracy as graph_degeneracy
 from .graphs import paste
-from .graphio import load_json, open_path, read_graph, write_graph, write_json
+from .graphio import read_graph, read_json, write_graph, write_json
 from .listcolor import l_colorable, precoloring_from_json_dict, read_list_assignment
 from .minors import has_clique_minor
 
@@ -129,8 +129,7 @@ def _cmd_color(args) -> int:
     la = read_list_assignment(args.lists)
     pre = None
     if args.precolor:
-        with open_path(args.precolor, "r", encoding="utf-8") as fh:
-            pre = precoloring_from_json_dict(load_json(fh.read()))
+        pre = precoloring_from_json_dict(read_json(args.precolor))
     res = l_colorable(g, la, precoloring=pre)
     if res.colorable:
         if args.coloring:
@@ -193,8 +192,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check_cert(args) -> int:
-    with open_path(args.cert, "r", encoding="utf-8") as fh:
-        cert = load_json(fh.read())
+    cert = read_json(args.cert)
     graph = read_graph(args.graph) if args.graph else None
     res = check_certificate(cert, graph, timeout=args.timeout)
     _emit(

@@ -107,33 +107,41 @@ def params_for(case: str, t: int) -> ConstructionParams:
 class GadgetTemplate:
     """One gadget copy before any lists are attached.
 
-    root_clique holds the v_i ids, pairs the deleted matching (v_i, w_i),
-    extra the id of the lone odd vertex in case c (None otherwise).
+    pairs holds the deleted matching (v_i, w_i) in pair order; its v_i
+    are the root clique that every copy shares.  own holds the vertices
+    a pasted copy adds, in the order `build` lays out their ids: the w_i
+    in pair order, then the apex in case c.
     """
 
     graph: Graph
     pairs: tuple[tuple[int, int], ...]
-    root_clique: tuple[int, ...]
-    extra: int | None
+    own: tuple[int, ...]
+
+    @property
+    def root_clique(self) -> tuple[int, ...]:
+        return tuple(v for v, _ in self.pairs)
+
+    @property
+    def extra(self) -> int | None:
+        """The apex of case c, None in cases a and b."""
+        return self.own[-1] if len(self.own) > len(self.pairs) else None
 
 
 def gadget_template(params: ConstructionParams) -> GadgetTemplate:
     if params.gadget_kind == "K_{rx2}":
-        g = k_r_times_2(params.r)
-        extra = None
+        g, apex = k_r_times_2(params.r), ()
     else:
-        g = k_1_r_times_2(params.r)
-        extra = 2 * params.r
+        g, apex = k_1_r_times_2(params.r), (2 * params.r,)
     pairs = matching_pairs(g)
-    roots = tuple(v for v, _ in pairs)
     if g.n != params.q + 2:
         raise InvalidArgumentError(
             f"{params.gadget_kind} with r={params.r} has {g.n} vertices, "
             f"the row needs q+2={params.q + 2}"
         )
-    if not g.is_clique(roots):
-        raise ConstructionRefuted(f"gadget roots {roots} are not a clique")
-    return GadgetTemplate(graph=g, pairs=pairs, root_clique=roots, extra=extra)
+    tpl = GadgetTemplate(graph=g, pairs=pairs, own=tuple(w for _, w in pairs) + apex)
+    if not g.is_clique(tpl.root_clique):
+        raise ConstructionRefuted(f"gadget roots {tpl.root_clique} are not a clique")
+    return tpl
 
 
 def check_vector(params: ConstructionParams, c: Sequence[int]) -> tuple[int, ...]:
@@ -163,15 +171,19 @@ def gadget_lists(params: ConstructionParams, c: Sequence[int]) -> ListAssignment
     )
 
 
+def _w_list(q: int, ci: int) -> list[int]:
+    """The list of w_i under a vector whose i-th entry is ci."""
+    return [x for x in range(1, q + 2) if x != ci]
+
+
 def _gadget_rows(
     params: ConstructionParams, tpl: GadgetTemplate, vec: tuple[int, ...]
 ) -> list[list[int]]:
     """The rows of `gadget_lists` over a template already built, for a
     vector already checked; sorted, in range, not validated again."""
-    full = list(range(1, params.q + 1))
-    rows = [full] * tpl.graph.n
+    rows = [list(range(1, params.q + 1))] * tpl.graph.n
     for (_, w), ci in zip(tpl.pairs, vec):
-        rows[w] = [x for x in range(1, params.q + 2) if x != ci]
+        rows[w] = _w_list(params.q, ci)
     return rows
 
 
@@ -187,7 +199,7 @@ def gadget_blocked_detail(params: ConstructionParams, c: Sequence[int]) -> dict:
         return {"vector": list(vec), "status": "improper-root", "blocked": True}
     tpl = gadget_template(params)
     lists = _gadget_rows(params, tpl, vec)
-    clique = [w for _, w in tpl.pairs] + ([tpl.extra] if tpl.extra is not None else [])
+    clique = list(tpl.own)
     free = set()
     for s in clique:
         pinned = {ci for (v, _), ci in zip(tpl.pairs, vec) if tpl.graph.adj[s] >> v & 1}
@@ -202,17 +214,11 @@ def gadget_blocked_detail(params: ConstructionParams, c: Sequence[int]) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class PatternClass:
-    """A set of color vectors decided together, carried by one
-    representative."""
-
-    representative: tuple[int, ...]
-    size: int
-
-
-def color_pattern_classes(params: ConstructionParams) -> list[PatternClass]:
-    """The two classes of [1,q]^r, sizes summing to q^r.
+def color_pattern_classes(
+    params: ConstructionParams,
+) -> list[tuple[tuple[int, ...], int]]:
+    """The two classes of [1,q]^r as (representative, size) pairs, sizes
+    summing to q^r.
 
     The q!/(q-r)! repetition-free vectors form one orbit under the color
     permutations that fix q+1, represented by (1,...,r).  The remaining
@@ -224,9 +230,9 @@ def color_pattern_classes(params: ConstructionParams) -> list[PatternClass]:
     proper = math.perm(q, r)
     classes = []
     if proper:
-        classes.append(PatternClass(tuple(range(1, r + 1)), proper))
+        classes.append((tuple(range(1, r + 1)), proper))
     if r > 1:
-        classes.append(PatternClass((1,) * r, q**r - proper))
+        classes.append(((1,) * r, q**r - proper))
     return classes
 
 
@@ -269,17 +275,14 @@ def build_stats(params: ConstructionParams) -> ConstructionStats:
     )
 
 
-def _copy_base(params: ConstructionParams, k: int) -> int:
-    return params.r + k * (params.q + 2 - params.r)
-
-
 def build(params: ConstructionParams) -> tuple[Graph, ListAssignment]:
     """Materialize the pasted graph and its list assignment.
 
-    Ids 0..r-1 are the shared roots with list [1,q].  Copy k, ordered
-    lexicographically by its color vector, owns ids base..base+(q+1-r)
-    with base = r + k(q+2-r): the w_i in pair order, then the extra
-    vertex in case c.  Raises ResourceLimitError above VERTEX_CAP;
+    Ids 0..r-1 are the shared roots v_i, with list [1,q].  Copy k, in
+    lexicographic order of its color vector c, takes the len(own) ids
+    from r + k*len(own) on, one per vertex of the template's `own` in
+    that order: the w_i with lists [1,q+1] minus c_i, then in case c the
+    apex with list [1,q].  Raises ResourceLimitError above VERTEX_CAP;
     use build_stats for the counts instead."""
     stats = build_stats(params)
     if stats.n_vertices > VERTEX_CAP:
@@ -289,41 +292,24 @@ def build(params: ConstructionParams) -> tuple[Graph, ListAssignment]:
         )
     q, r = params.q, params.r
     tpl = gadget_template(params)
-    root_of = {v: i for i, (v, _) in enumerate(tpl.pairs)}
-    w_slot = {w: i for i, (_, w) in enumerate(tpl.pairs)}
-
-    slot_of = dict(w_slot)
-    if tpl.extra is not None:
-        slot_of[tpl.extra] = params.r  # extra vertex sits after the w's
-
-    # template edges, expressed as slots relative to a copy base
-    copy_edges: list[tuple[int, int]] = []  # both ends local to the copy
-    cross_edges: list[tuple[int, int]] = []  # (root id, local slot)
-    for u, v in tpl.graph.edges:
-        if u in root_of and v in root_of:
-            continue  # shared clique, emitted once
-        if u in root_of:
-            cross_edges.append((root_of[u], slot_of[v]))
-        elif v in root_of:
-            cross_edges.append((root_of[v], slot_of[u]))
-        else:
-            copy_edges.append((slot_of[u], slot_of[v]))
-
-    edges: list[tuple[int, int]] = list(
-        itertools.combinations(range(r), 2)
-    )
+    size = len(tpl.own)
+    # the template's edges by their ids in copy 0; copy k adds k*size to
+    # every id from r on
+    at = {u: i for i, u in enumerate(tpl.root_clique + tpl.own)}
+    local = [sorted((at[u], at[v])) for u, v in tpl.graph.edges]
+    edges = [(a, b) for a, b in local if b < r]  # the shared root clique
+    cross = [(a, b) for a, b in local if a < r <= b]
+    inner = [(a, b) for a, b in local if r <= a]
     full = list(range(1, q + 1))
-    rows: list[list[int]] = [full] * r
-    for k, vec in enumerate(itertools.product(range(1, q + 1), repeat=r)):
-        base = _copy_base(params, k)
-        for root, slot in cross_edges:
-            edges.append((root, base + slot))
-        for a, b in copy_edges:
-            edges.append((base + a, base + b))
-        for i, ci in enumerate(vec):
-            rows.append([x for x in range(1, q + 2) if x != ci])
-        if tpl.extra is not None:
-            rows.append(full)
+    w_lists = {ci: _w_list(q, ci) for ci in full}  # shared by every copy
+    pair_of = {w: i for i, (_, w) in enumerate(tpl.pairs)}
+    slots = [pair_of.get(u) for u in tpl.own]  # w_i's pair index, None for the apex
+    rows = [full] * r
+    for k, vec in enumerate(itertools.product(full, repeat=r)):
+        shift = k * size
+        edges += [(a, b + shift) for a, b in cross]
+        edges += [(a + shift, b + shift) for a, b in inner]
+        rows += [full if i is None else w_lists[vec[i]] for i in slots]
     g = Graph.from_edges(stats.n_vertices, edges)
     la = ListAssignment.from_lists(q + 1, rows)
     if (g.n, g.m) != (stats.n_vertices, stats.n_edges):
@@ -347,9 +333,7 @@ def verify_minor_free(params: ConstructionParams) -> dict:
     hand-built row the bound does not settle (params_for makes none)
     raises InvalidArgumentError naming the bound."""
     tpl = gadget_template(params)
-    parts = [list(pair) for pair in tpl.pairs]
-    if tpl.extra is not None:
-        parts.append([tpl.extra])
+    parts = [list(pair) for pair in tpl.pairs] + [[u] for u in tpl.own[params.r:]]
     bound = counting_bound(tpl.graph, parts)
     if bound is None or bound >= params.p:
         raise InvalidArgumentError(
@@ -419,16 +403,16 @@ def verify_not_colorable(
         }
 
     entries = []
-    for cls in color_pattern_classes(params):
-        entry = gadget_blocked_detail(params, cls.representative)
+    for rep, size in color_pattern_classes(params):
+        entry = gadget_blocked_detail(params, rep)
         if not entry["blocked"]:
             raise ConstructionRefuted(
-                f"no obstruction found for vector {cls.representative} "
+                f"no obstruction found for vector {rep} "
                 f"in case {params.case}, t={params.t}",
-                vector=cls.representative,
+                vector=rep,
             )
         entry["representative"] = entry.pop("vector")
-        entry["size"] = cls.size
+        entry["size"] = size
         entries.append(entry)
     covered = sum(e["size"] for e in entries)
     if covered != q**r:
@@ -493,26 +477,18 @@ def verify_construction(
 def lower_bound_table() -> dict[int, dict]:
     """Choice-number lower bounds by forbidden clique order p in [3,11].
 
-    Each p is hit by exactly one table row (p mod 3 selects the case),
-    and the witness instance is not q-choosable, so the choice number of
+    Rows t = 1..3 of the three cases hit each such p once, and the
+    witness instance is not q-choosable, so the choice number of
     K_p-minor-free graphs is at least q+1."""
-    rows: dict[int, dict] = {}
-    for p in range(3, 12):
-        if p % 3 == 0:
-            case, t = "c", p // 3
-        elif p % 3 == 1:
-            case, t = "b", (p - 1) // 3
-        else:
-            case, t = "a", (p - 2) // 3
-        params = params_for(case, t)
-        if params.p != p:
-            raise ConstructionRefuted(f"row {case}{t} has p={params.p}, not {p}")
-        rows[p] = {
-            "p": p,
-            "lower_bound": params.q + 1,
-            "case": case,
-            "t": t,
-            "q": params.q,
-            "r": params.r,
+    rows = [params_for(case, t) for case in CASES for t in (1, 2, 3)]
+    return {
+        pp.p: {
+            "p": pp.p,
+            "lower_bound": pp.q + 1,
+            "case": pp.case,
+            "t": pp.t,
+            "q": pp.q,
+            "r": pp.r,
         }
-    return rows
+        for pp in sorted(rows, key=lambda pp: pp.p)
+    }

@@ -125,11 +125,14 @@ def write_adjacency_json(g: Graph) -> str:
 
 def load_json(text: str) -> object:
     """Parse an input file's JSON text; malformed or too deeply nested
-    JSON raises ParseError."""
+    JSON, or an integer past Python's int digit limit, raises
+    ParseError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", offset=e.pos) from e
+    except ValueError as e:  # the int digit limit
+        raise ParseError(f"invalid JSON: {e}") from e
     except RecursionError as e:
         raise ParseError("JSON nested too deeply") from e
 
@@ -142,6 +145,12 @@ def open_path(path: str, mode: str, encoding: str):
         return open(path, mode, encoding=encoding)
     except ValueError as e:  # UnicodeEncodeError is one too
         raise InvalidArgumentError(f"cannot open {path!r}: {e}") from e
+
+
+def read_json(path: str) -> object:
+    """Read a UTF-8 JSON input file; see `load_json`."""
+    with open_path(path, "r", encoding="utf-8") as fh:
+        return load_json(fh.read())
 
 
 def write_json(path: str, doc: object) -> None:
@@ -202,8 +211,8 @@ def write_graph(g: Graph, path: str) -> None:
 
 
 def read_graph(path: str) -> Graph:
-    """Read by extension, falling back to content sniffing."""
-    with open_path(path, "r", encoding="ascii") as fh:
+    """Read a UTF-8 file by extension, falling back to content sniffing."""
+    with open_path(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith((".g6", ".graph6")):
         return read_graph6(text)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InvalidArgumentError, PreconditionError, SearchTimeout
-from .graphio import load_json, open_path
+from .graphio import read_json
 from .graphs import Graph, components, reaches_all, union_over
 
 # with a timeout the clock is read once per this many backtracks; every
@@ -115,10 +115,14 @@ class ListAssignment:
 def precoloring_from_json_dict(doc: object) -> dict[int, int]:
     """Parse an object of decimal vertex id -> integer color; `l_colorable`
     range-checks both.  InvalidArgumentError for any other JSON value."""
-    if not isinstance(doc, dict) or not all(
-        k.isascii() and k.isdecimal() and str(int(k)) == k and type(c) is int
-        for k, c in doc.items()
-    ):
+    try:
+        ok = isinstance(doc, dict) and all(
+            k.isascii() and k.isdecimal() and str(int(k)) == k and type(c) is int
+            for k, c in doc.items()
+        )
+    except ValueError:  # an id past Python's int digit limit
+        ok = False
+    if not ok:
         raise InvalidArgumentError("precoloring must map vertex ids to integer colors")
     return {int(k): c for k, c in doc.items()}
 
@@ -338,6 +342,4 @@ def _push_parts(parts: list[int], cut: int, goals: tuple | None) -> tuple | None
 
 
 def read_list_assignment(path: str) -> ListAssignment:
-    with open_path(path, "r", encoding="utf-8") as fh:
-        doc = load_json(fh.read())
-    return ListAssignment.from_json_dict(doc)
+    return ListAssignment.from_json_dict(read_json(path))

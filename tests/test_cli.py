@@ -391,7 +391,7 @@ JSON = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=4),
     max_leaves=12,
 )
-IDS = st.sampled_from(["0", "1", "2", "00", "-1", " 1", "x"])
+IDS = st.sampled_from(["0", "1", "2", "00", "-1", " 1", "x", "9" * 5000])
 
 
 def near(*shapes):
@@ -479,6 +479,8 @@ ANY_CONTENT = st.one_of(
     st.binary(max_size=24),
     st.text(max_size=24),
     st.one_of(JSON, LIST_DOCS, GRAPH_DOCS, PRECOLOR_DOCS).map(json.dumps),
+    # an integer past Python's int digit limit, and a UTF-8 graph document
+    st.sampled_from(["9" * 5000, '{"n": 2, "edges": [], "x": "é"}']),
 )
 CONTENTS = st.fixed_dictionaries(
     {name: mostly(st.sampled_from(docs), ANY_CONTENT)
@@ -573,6 +575,7 @@ def test_exit_codes_hold_for_any_arguments_and_files(tmp_path, monkeypatch):
                 code = exc.code
         assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue(), argv
+        assert "internal error" not in err.getvalue(), (argv, err.getvalue())
 
     exits_within_contract()
 
@@ -590,6 +593,27 @@ def test_bigint_overflow_exits_2(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"{sys.get_int_max_str_digits()}-digit" in err
+
+
+def test_integer_past_digit_limit_is_input_error(tmp_path, capsys):
+    # json.loads and int() raise ValueError on an integer of more digits
+    # than int-to-str allows; every JSON reader makes that an input error
+    gp = tmp_path / "g.json"
+    write_graph(Graph.from_edges(2, []), str(gp))
+    lp = tmp_path / "lists.json"
+    write_text(lp, json.dumps(ListAssignment.from_lists(1, [[1], [1]]).to_json_dict()))
+    big = tmp_path / "big.json"
+    write_text(big, "9" * 5000)
+    pre = tmp_path / "pre.json"
+    write_text(pre, json.dumps({"9" * 5000: 1}))
+    for argv in (
+        ["check-cert", "--cert", str(big)],
+        ["degeneracy", "--input", str(big)],
+        ["color", "--graph", str(gp), "--lists", str(big)],
+        ["color", "--graph", str(gp), "--lists", str(lp), "--precolor", str(pre)],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 2 and err.startswith("error: "), (argv, err)
 
 
 def test_color_long_path_needs_no_recursion(tmp_path, capsys):

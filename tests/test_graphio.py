@@ -165,3 +165,16 @@ def test_read_graph_sniffs_content(tmp_path):
     odd6 = tmp_path / "graph6.dat"
     odd6.write_text(write_graph6(g) + "\n", encoding="utf-8")
     assert read_graph(str(odd6)) == g
+
+
+def test_read_graph_reads_utf8(tmp_path):
+    # a JSON string may hold any character; graph6 stays ASCII, and its
+    # reader names the offset of the first byte outside it
+    pj = tmp_path / "g.json"
+    pj.write_text('{"n": 2, "edges": [], "x": "é"}', encoding="utf-8")
+    assert read_graph(str(pj)) == Graph.from_edges(2, [])
+    p6 = tmp_path / "g.g6"
+    p6.write_text("Bé\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_graph(str(p6))
+    assert err.value.offset == 1
