@@ -87,12 +87,16 @@ def params_for(case: str, t: int) -> ConstructionParams:
     else:
         p, q, r, kind = 3 * t, 4 * t - 3, 2 * t - 1, "K_{1,rx2}"
     # every count of build_stats is below q^r (q+2)^2 = 10^digits, and
-    # str() refuses ints of more than `limit` digits
-    digits = r * math.log10(q) + 2 * math.log10(q + 2)
+    # str() refuses ints of more than `limit` digits.  r may be past any
+    # float, so digits is summed in fixed point, scaled by 2^32.
+    scaled = r * round(math.log10(q) * 2**32) + 2 * round(math.log10(q + 2) * 2**32)
     limit = sys.get_int_max_str_digits()
-    if limit and digits >= limit:
+    if limit and scaled >= limit << 32:
+        digits = (scaled >> 32) + 1
+        # a count of digits can itself be past the limit
+        about = f"about {digits}" if digits < 10**limit else f"over {limit}"
         raise InvalidArgumentError(
-            f"row {case}{t}: its counts run to about {int(digits) + 1} digits, "
+            f"row {case}{t}: its counts run to {about} digits, "
             f"past Python's {limit}-digit int-to-str limit"
         )
     # p sits one above the gadget's Hadwiger number floor(3r/2) (+1 apex)

@@ -2,19 +2,36 @@
 
 graph6 packs the upper triangle of the adjacency matrix column by column
 (x_{0,1}, x_{0,2}, x_{1,2}, x_{0,3}, ...) into 6-bit groups offset by 63.
-It carries no labels.  The adjacency-JSON format
+It carries no labels.  Its 6-bit groups are base64's (RFC 4648), most
+significant bit first, in another alphabet: so the codec packs and
+unpacks the n(n-1)/2 bits with `binascii` and maps the alphabets with
+one `bytes.translate`.  Python itself takes O(n + m) steps, one per edge
+and per column, and never builds `Graph.adj`.  The adjacency-JSON format
 ``{"n": int, "edges": [[u,v], ...], "labels": {"v": [...], "w": [...]}}``
 keeps edges sorted lexicographically and preserves role labels.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
+import re
 
 from .errors import InvalidArgumentError, ParseError, ResourceLimitError
 from .graphs import VERTEX_CAP, Graph
 
 GRAPH6_HEADER = ">>graph6<<"
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+# bytes 63..126 to base64's alphabet and every other byte to NUL, which
+# no graph6 byte becomes
+_G6_TO_B64 = bytes(63) + _B64 + bytes(129)
+_NONZERO = re.compile(rb"[^\x00]")
+# the set bits of each byte as offsets from its most significant bit,
+# in increasing order; each pass adds the next bit up, offset k
+_SET_BITS = [()]
+for _k in range(7, -1, -1):
+    _SET_BITS += [(_k,) + bits for bits in _SET_BITS]
 
 
 def _encode_size(n: int) -> bytes:
@@ -29,21 +46,15 @@ def _encode_size(n: int) -> bytes:
 
 def write_graph6(g: Graph) -> str:
     """Canonical graph6 string for `g` (no header, no newline)."""
-    out = bytearray(_encode_size(g.n))
-    buf = 0
-    filled = 0
-    for v in range(1, g.n):
-        column = g.adj[v]
-        for u in range(v):
-            buf = buf << 1 | (column >> u & 1)
-            filled += 1
-            if filled == 6:
-                out.append(buf + 63)
-                buf = 0
-                filled = 0
-    if filled:
-        out.append((buf << (6 - filled)) + 63)
-    return out.decode("ascii")
+    nbits = g.n * (g.n - 1) // 2
+    ngroups = (nbits + 5) // 6
+    # whole base64 quanta (3 bytes, 4 characters), so no '=' is emitted
+    bits = bytearray((ngroups + 3) // 4 * 3)
+    for u, v in g.edges:
+        p = v * (v - 1) // 2 + u
+        bits[p >> 3] |= 128 >> (p & 7)
+    body = binascii.b2a_base64(bits, newline=False)[:ngroups].translate(_B64_TO_G6)
+    return (_encode_size(g.n) + body).decode("ascii")
 
 
 def read_graph6(text: str) -> Graph:
@@ -61,9 +72,10 @@ def read_graph6(text: str) -> Graph:
         ) from None
     if not data:
         raise ParseError("empty graph6 input", offset=0)
-    for i, b in enumerate(data):
-        if not (63 <= b <= 126):
-            raise ParseError(f"invalid graph6 byte {b:#x}", offset=i)
+    b64 = data.translate(_G6_TO_B64)
+    bad = b64.find(0)
+    if bad >= 0:
+        raise ParseError(f"invalid graph6 byte {data[bad]:#x}", offset=bad)
 
     pos = 0
     if data[0] != 126:
@@ -93,24 +105,25 @@ def read_graph6(text: str) -> Graph:
         )
     if len(data) - pos > ngroups:
         raise ParseError("trailing bytes after graph6 edge data", offset=pos + ngroups)
+    # only the last group is padded, with its low -nbits % 6 bits
+    if (data[-1] - 63) & ((1 << (-nbits % 6)) - 1):
+        raise ParseError("nonzero padding bit", offset=len(data) - 1)
 
+    bits = binascii.a2b_base64(b64[pos:] + b"A" * (-ngroups % 4))
+    # bit p = v(v-1)/2 + u of the stream is x_{u,v}; column v spans
+    # p in [start, start + v), and the walk moves v forward as p grows
     edges = []
-    v, u = 1, 0
-    for gi in range(ngroups):
-        group = data[pos + gi] - 63
-        for k in range(5, -1, -1):
-            bit = group >> k & 1
-            if v >= n:
-                if bit:
-                    raise ParseError("nonzero padding bit", offset=pos + gi)
-                continue
-            if bit:
-                edges.append((u, v))
-            u += 1
-            if u == v:
+    v, start = 1, 0
+    for hit in _NONZERO.finditer(bits):
+        i = hit.start()
+        for k in _SET_BITS[bits[i]]:
+            p = i << 3 | k
+            while p >= start + v:
+                start += v
                 v += 1
-                u = 0
-    return Graph.from_edges(n, edges)
+            edges.append((p - start, v))
+    # valid and distinct by construction, so from_edges' checks are skipped
+    return Graph(n=n, edges=tuple(sorted(edges)))
 
 
 def write_adjacency_json(g: Graph) -> str:

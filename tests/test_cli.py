@@ -595,6 +595,35 @@ def test_bigint_overflow_exits_2(capsys):
     assert f"{sys.get_int_max_str_digits()}-digit" in err
 
 
+# the digit-limit test of params_for once multiplied r by a float log,
+# which overflows at this scale and made build and check-cert exit 3
+HUGE_T = 10**400
+
+
+def test_build_scale_past_any_float_exits_2(capsys):
+    code, out, err = run(["build", "--case", "a", "--t", str(HUGE_T), "--stats-only"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"{sys.get_int_max_str_digits()}-digit" in err
+
+
+def test_check_cert_scale_past_any_float_is_not_internal(tmp_path, capsys):
+    cp = tmp_path / "cert.json"
+    assert run(["verify", "--case", "a", "--t", "2", "--cert", str(cp)], capsys)[0] == 0
+    doc = json.loads(cp.read_text(encoding="utf-8"))
+    todo = [doc]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            if "t" in node:
+                node["t"] = HUGE_T
+            todo.extend(node.values())
+        elif isinstance(node, list):
+            todo.extend(node)
+    write_text(cp, json.dumps(doc))
+    code, _, err = run(["check-cert", "--cert", str(cp)], capsys)
+    assert code in (1, 2) and "internal error" not in err, (code, err)
+
+
 def test_integer_past_digit_limit_is_input_error(tmp_path, capsys):
     # json.loads and int() raise ValueError on an integer of more digits
     # than int-to-str allows; every JSON reader makes that an input error

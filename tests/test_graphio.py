@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -111,6 +112,72 @@ def test_graph6_rejects_non_ascii():
 def test_graph6_rejects_empty():
     with pytest.raises(ParseError):
         read_graph6("")
+
+
+def test_graph6_every_size_class_matches_networkx():
+    # n = 0..130 covers both size-field forms, the 62/63 boundary and
+    # every value of nbits mod 6 (so every padding width) many times
+    rng = random.Random(45)
+    for n in range(131):
+        every = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        some = random_graph(rng, n, rng.random())
+        for g, h in (
+            (Graph.from_edges(n, []), nx.empty_graph(n)),
+            (Graph.from_edges(n, every), nx.complete_graph(n)),
+            (some, to_networkx(some)),
+        ):
+            text = nx.to_graph6_bytes(h, header=False).decode().strip()
+            assert write_graph6(g) == text, n
+            back = read_graph6(text)
+            assert back.n == g.n and back.edges == g.edges, n
+
+
+def test_graph6_every_nonzero_padding_pattern_rejected():
+    rng = random.Random(46)
+    for n in range(131):
+        pad = -(n * (n - 1) // 2) % 6
+        if not pad:
+            continue
+        text = write_graph6(random_graph(rng, n, 0.5))
+        last = ord(text[-1]) - 63
+        for pattern in range(1, 1 << pad):
+            bad = text[:-1] + chr(63 + (last | pattern))
+            with pytest.raises(ParseError, match="padding") as err:
+                read_graph6(bad)
+            assert err.value.offset == len(text) - 1, (n, pattern)
+
+
+def test_graph6_bad_byte_reported_at_its_offset():
+    # n = 200 takes the 4-byte size field; NUL, "!", 62 and 127 are
+    # outside the graph6 range, and none is whitespace that strip() drops
+    text = write_graph6(random_graph(random.Random(47), 200, 0.3))
+    for offset in (0, 2, 3, 1000, len(text) - 2, len(text) - 1):
+        for bad in (0, 33, 62, 127):
+            with pytest.raises(ParseError, match="invalid graph6 byte") as err:
+                read_graph6(text[:offset] + chr(bad) + text[offset + 1:])
+            assert err.value.offset == offset, (offset, bad)
+
+
+def test_graph6_writer_builds_no_adjacency_masks():
+    g = random_graph(random.Random(48), 40, 0.5)
+    write_graph6(g)
+    assert "adj" not in g.__dict__
+
+
+def test_graph6_codec_memory_is_linear_in_its_text():
+    # a codec that expands the stream to one object or character per
+    # bit would need several times the text; 6x is loose for a noisy VM
+    for n in (1500, 3000):
+        path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        text = write_graph6(path)
+        for codec, arg in ((write_graph6, path), (read_graph6, text)):
+            tracemalloc.start()
+            try:
+                codec(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * len(text), (n, codec.__name__, peak, len(text))
 
 
 def test_adjacency_json_roundtrip():
