@@ -8,14 +8,14 @@ re-derived: the checker reads the row (case, t) and the mode, runs the
 verifier of `construction` that wrote the certificate again, and
 accepts only a document equal to the given one, field for field and
 type for type (`true` is not `1`, `1` is not `1.0`).  A pasting is the
-same in both modes, so its row is all the replay needs.  Only a
-direct-mode certificate runs the list-coloring solver; nothing else in
-a check searches.  A bundle's
-manifest is compared with the manifest arithmetic first, so a bundle
-relabelled to another row is rejected without verifying that row.  On a
-mismatch the reason names the first differing path.  Nothing in the
-payload is trusted beyond the row and the mode, and this module knows
-no field of these certificates beyond those.
+same in both modes, so its row is all the replay needs.  No check
+searches: a direct replay rebuilds the graph and checks the Hall
+obstruction on each gadget copy.  A bundle's manifest is compared with
+the manifest arithmetic first, so a bundle relabelled to another row is
+rejected without verifying that row.  On a mismatch the reason names
+the first differing path.  Nothing in the payload is trusted beyond the
+row and the mode, and this module knows no field of these certificates
+beyond those.
 
 Certificates about a graph given from outside (`branch-set-positive`
 witnesses and `counting-bound` certificates) are proof-checked: the
@@ -71,18 +71,12 @@ def _int(doc: dict, key: str) -> int:
     return doc[key]
 
 
-def check_certificate(
-    cert: dict, graph: Graph | None = None, timeout: float | None = None
-) -> CheckResult:
+def check_certificate(cert: dict, graph: Graph | None = None) -> CheckResult:
     """Re-validate a certificate document.
 
     `graph` is required for kinds that talk about an externally supplied
     graph (branch-set-positive, bare counting-bound); construction
-    certificates carry their row and rebuild what they need.  `timeout`
-    (seconds) bounds the solver run that re-derives a direct-mode
-    certificate, and SearchTimeout is raised when it runs out; a
-    compositional certificate is re-derived by counting, and nothing
-    else in a check searches."""
+    certificates carry their row and rebuild what they need."""
     if not isinstance(cert, dict):
         return _fail("certificate must be a JSON object")
     kind = cert.get("kind")
@@ -95,7 +89,7 @@ def check_certificate(
             return _check_branch_sets(cert, graph)
         if kind == "counting-bound":
             return _check_counting_bound(cert, graph)
-        return _check_construction(cert, kind, timeout)
+        return _check_construction(cert, kind)
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"malformed certificate: {exc}")
 
@@ -140,9 +134,7 @@ def _check_counting_bound(cert: dict, graph: Graph | None) -> CheckResult:
     )
 
 
-def _check_construction(
-    cert: dict, kind: str, timeout: float | None
-) -> CheckResult:
+def _check_construction(cert: dict, kind: str) -> CheckResult:
     """Run the verifier that wrote `cert` again and require its output."""
     try:
         if kind == "construction-verified":
@@ -154,10 +146,10 @@ def _check_construction(
             want = build_stats(params).manifest(man["mode"])
             if diff := _first_difference(want, man, "manifest"):
                 return _fail(diff)
-            fresh = verify_construction(params, mode, timeout=timeout)
+            fresh = verify_construction(params, mode)
         elif kind == "non-colorability":
             params = params_for(cert["case"], _int(cert, "t"))
-            fresh = verify_not_colorable(params, cert["mode"], timeout=timeout)
+            fresh = verify_not_colorable(params, cert["mode"])
         else:
             params = params_for(cert["case"], _int(cert, "t"))
             fresh = verify_minor_free(params)

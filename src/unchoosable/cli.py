@@ -83,7 +83,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     params = params_for(args.case, args.t)
     try:
-        cert = verify_construction(params, mode=args.mode, timeout=args.timeout)
+        cert = verify_construction(params, mode=args.mode)
     except ConstructionRefuted as exc:
         print(f"refuted: {exc}", file=sys.stderr)
         return 1
@@ -194,7 +194,7 @@ def _cmd_table(args) -> int:
 def _cmd_check_cert(args) -> int:
     cert = read_json(args.cert)
     graph = read_graph(args.graph) if args.graph else None
-    res = check_certificate(cert, graph, timeout=args.timeout)
+    res = check_certificate(cert, graph)
     _emit(
         {"ok": res.ok, "reason": res.reason},
         ("accepted: " if res.ok else "rejected: ") + res.reason,
@@ -237,9 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["direct", "compositional"],
                    default="compositional")
     p.add_argument("--cert", help="write the certificate here (JSON)")
-    p.add_argument("--timeout", type=_seconds,
-                   help="budget in seconds for direct mode's solver run, the "
-                   "only search verify makes")
 
     p = add("minor", _cmd_minor, help="exact clique-minor search")
     p.add_argument("--input", required=True, help="graph file (.g6 or .json)")
@@ -268,10 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("check-cert", _cmd_check_cert, help="re-validate a certificate")
     p.add_argument("--cert", required=True)
     p.add_argument("--graph", help="graph file for witness certificates")
-    p.add_argument("--timeout", type=_seconds,
-                   help="budget in seconds for re-solving a direct-mode "
-                   "construction certificate, the only check that runs the "
-                   "solver")
 
     return ap
 

@@ -183,16 +183,12 @@ def read_adjacency_json(text: str) -> Graph:
     n = doc["n"]
     if n > VERTEX_CAP:
         raise ResourceLimitError(f"graph has {n} vertices, cap is {VERTEX_CAP}")
-    raw_edges = doc.get("edges", [])
-    if not isinstance(raw_edges, list):
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of [u, v] pairs")
-    edges = []
-    for e in raw_edges:
+    for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ParseError(f"bad edge entry {e!r}")
-        edges.append(tuple(e))
-    if len(set(tuple(sorted(e)) for e in edges)) != len(edges):
-        raise ParseError("duplicate edges in adjacency JSON")
     labels = None
     if "labels" in doc:
         if not isinstance(doc["labels"], dict):
@@ -208,9 +204,12 @@ def read_adjacency_json(text: str) -> Graph:
                     raise ParseError(f"vertex {v} labeled twice")
                 labels[v] = tag
     try:
-        return Graph.from_edges(n, edges, labels)
+        g = Graph.from_edges(n, edges, labels)
     except InvalidArgumentError as e:
         raise ParseError(str(e)) from e
+    if g.m != len(edges):  # from_edges merges an edge given twice
+        raise ParseError("duplicate edges in adjacency JSON")
+    return g
 
 
 def write_graph(g: Graph, path: str) -> None:

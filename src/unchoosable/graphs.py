@@ -259,6 +259,15 @@ def paste(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequence[int]) -> Graph:
     return Graph.from_edges(fresh, edges, labels or None)
 
 
+def neighbour_sets(g: Graph) -> list[set[int]]:
+    """Each vertex's neighbours as a set, in O(n+m), not n²/16 bytes."""
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 def degeneracy(g: Graph) -> DegeneracyResult:
     """Min-degree elimination with lowest-id tie-break.
 
@@ -266,15 +275,12 @@ def degeneracy(g: Graph) -> DegeneracyResult:
     subgraphs; the elimination order witnesses the upper bound.  The
     smallest-last order of Matula and Beck (J. ACM 1983), kept in a
     min-heap of (degree, id) whose stale entries are skipped when
-    popped: O((n+m) log n) time and O(n+m) space, from the edge list
+    popped: O((n+m) log n) time and O(n+m) space, from `neighbour_sets`
     without the adjacency masks.
     """
     import heapq  # on first use: compositional verify orders no vertices
 
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    nbrs = neighbour_sets(g)
     deg = [len(row) for row in nbrs]
     heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)

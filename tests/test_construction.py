@@ -81,11 +81,11 @@ def test_gadget_template_invariants():
         assert tpl.graph.is_clique(tpl.root_clique)
         for v, w in tpl.pairs:
             assert not tpl.graph.has_edge(v, w)
+        # the w_i, then in case c the apex, which every other vertex meets
+        assert tpl.own[: pp.r] == tuple(w for _, w in tpl.pairs)
+        assert len(tpl.own) == pp.r + (case == "c")
         if case == "c":
-            assert tpl.extra is not None
-            assert tpl.graph.degree(tpl.extra) == tpl.graph.n - 1
-        else:
-            assert tpl.extra is None
+            assert tpl.graph.degree(tpl.own[-1]) == tpl.graph.n - 1
 
 
 def test_gadget_lists_formula():
@@ -95,7 +95,7 @@ def test_gadget_lists_formula():
     v1, w1 = tpl.pairs[0]
     assert la.lists[v1] == (1,)
     assert la.lists[w1] == (2,)
-    assert la.lists[tpl.extra] == (1,)
+    assert la.lists[tpl.own[-1]] == (1,)  # the apex
 
     pp = params_for("b", 1)
     la = gadget_lists(pp, (1, 2))
@@ -368,13 +368,9 @@ def test_gadget_solver_honours_timeout():
         solver_blocks(pp, range(1, pp.r + 1), timeout=0.2)
 
 
-def test_compositional_verify_and_check_run_no_solver(monkeypatch):
-    import unchoosable.construction as cons
-
-    def no_solver(*args, **kwargs):
-        raise AssertionError("compositional mode ran the list-coloring solver")
-
-    monkeypatch.setattr(cons, "l_colorable", no_solver)
+def test_compositional_verify_and_check_run_no_solver():
+    # construction.py reaches no solver at all, which
+    # test_no_second_derivation checks on its source
     for case, t in [("a", 2), ("b", 3), ("c", 3), ("a", 5), ("b", 5), ("c", 5)]:
         bundle = verify_construction(params_for(case, t), mode="compositional")
         res = check_certificate(json.loads(json.dumps(bundle)))
@@ -410,7 +406,7 @@ def test_verify_not_colorable_direct():
     pp = params_for("b", 1)
     cert = verify_not_colorable(pp, mode="direct")
     assert cert["mode"] == "direct" and cert["n"] == 10
-    assert cert["total_vectors"] == 4
+    assert cert["blocked_copies"] == 2 and cert["total_vectors"] == 4
 
 
 def test_verify_not_colorable_compositional_modes_agree():
@@ -423,13 +419,70 @@ def test_verify_not_colorable_compositional_modes_agree():
 
 
 def test_verify_not_colorable_direct_refutes_generous_lists():
-    # same graph, one extra color everywhere: the solver finds a
-    # coloring and the claim must come back refuted
+    # same graph, one extra color everywhere: the graph is colorable, so
+    # no copy may pass the Hall test
     pp = params_for("b", 1)
     g, _ = build(pp)
     generous = ListAssignment.from_lists(3, [range(1, 4)] * g.n)
+    assert l_colorable(g, generous).colorable
     with pytest.raises(ConstructionRefuted):
         verify_not_colorable(pp, mode="direct", built=(g, generous))
+
+
+def _copy_of(pp, vec) -> range:
+    """The ids `build` gives the copy for vector vec: r + k*len(own) on,
+    k being vec's place in the lexicographic order of [1,q]^r."""
+    size = len(gadget_template(pp).own)
+    k = list(itertools.product(range(1, pp.q + 1), repeat=pp.r)).index(vec)
+    return range(pp.r + k * size, pp.r + (k + 1) * size)
+
+
+def _with_lists(la, changes):
+    rows = [list(row) for row in la.lists]
+    for v, row in changes.items():
+        rows[v] = row
+    return ListAssignment.from_lists(la.palette_size, rows)
+
+
+def test_direct_refutes_a_copy_missing_an_edge():
+    pp = params_for("b", 1)
+    g, la = build(pp)
+    w1, w2 = _copy_of(pp, (1, 2))
+    torn = Graph.from_edges(g.n, [e for e in g.edges if e != (w1, w2)])
+    assert torn.m == g.m - 1
+    assert l_colorable(torn, la).colorable  # w1 = w2 = 3 under roots (1, 2)
+    with pytest.raises(ConstructionRefuted, match=r"copy 1 .*\(1, 2\)") as err:
+        verify_not_colorable(pp, mode="direct", built=(torn, la))
+    assert err.value.vector == (1, 2)
+    # a missing root edge leaves repeated root colors unblocked
+    loose = Graph.from_edges(g.n, [e for e in g.edges if e != (0, 1)])
+    with pytest.raises(ConstructionRefuted, match="not a clique"):
+        verify_not_colorable(pp, mode="direct", built=(loose, la))
+
+
+def test_direct_refutes_a_root_color_outside_the_copies():
+    # q+1 on a root: no copy was built for a vector holding it.  On the
+    # last root, the rank's last digit, such a vector's rank can still
+    # name a copy built for another vector.
+    for row in ("b1", "a1", "c1"):
+        pp = params_for(row[0], int(row[1:]))
+        g, la = build(pp)
+        wider = _with_lists(la, {pp.r - 1: range(1, pp.q + 2)})
+        with pytest.raises(ConstructionRefuted, match="no gadget copy"):
+            verify_not_colorable(pp, mode="direct", built=(g, wider))
+
+
+def test_direct_refutes_a_w_list_given_back_its_color():
+    for row in ("b1", "a1", "c1"):
+        pp = params_for(row[0], int(row[1:]))
+        g, la = build(pp)
+        vec = tuple(range(1, pp.r + 1))
+        w1 = _copy_of(pp, vec)[0]  # w_1 of the copy, whose list avoids 1
+        assert 1 not in la.lists[w1]
+        healed = _with_lists(la, {w1: range(1, pp.q + 2)})
+        with pytest.raises(ConstructionRefuted, match="keeps colors") as err:
+            verify_not_colorable(pp, mode="direct", built=(g, healed))
+        assert err.value.vector == vec
 
 
 def test_verify_not_colorable_refutes_unblocked_gadget(monkeypatch):
@@ -479,14 +532,15 @@ def test_verify_degeneracy_values():
         pp = params_for(case, 1)
         g, _ = build(pp)
         res = verify_degeneracy(pp, g)
-        assert res["ok"] and res["degeneracy"] == want and res["bound"] == pp.q
+        assert res == {"degeneracy": want, "bound": pp.q}
+        assert res["degeneracy"] <= res["bound"]
 
 
 def test_verify_construction_bundles():
     direct = verify_construction(params_for("b", 1), mode="direct")
     assert direct["kind"] == "construction-verified"
     assert direct["manifest"]["mode"] == "full"
-    assert direct["degeneracy"]["ok"]
+    assert direct["degeneracy"]["degeneracy"] <= direct["degeneracy"]["bound"]
     kinds = [c["kind"] for c in direct["children"]]
     assert kinds == ["compositional-pasting", "non-colorability"]
 

@@ -205,6 +205,15 @@ def test_adjacency_json_rejects_bad_documents():
         read_adjacency_json('[1, 2]')
 
 
+def test_adjacency_json_rejects_an_edge_given_twice():
+    for edges in ("[[0, 1], [0, 1]]", "[[0, 1], [1, 0]]"):
+        with pytest.raises(ParseError, match="duplicate edges"):
+            read_adjacency_json('{"n": 3, "edges": %s}' % edges)
+    # the same edges once each, in either orientation, are one graph
+    once = read_adjacency_json('{"n": 3, "edges": [[1, 0], [2, 1]]}')
+    assert once.edges == ((0, 1), (1, 2))
+
+
 def test_adjacency_json_caps_the_vertex_count():
     cap = '{"n": %d, "edges": []}'
     assert read_adjacency_json(cap % VERTEX_CAP).n == VERTEX_CAP

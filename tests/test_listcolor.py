@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import time
@@ -165,12 +166,12 @@ def test_solver_matches_product_oracle():
             assert check_coloring(g, la, res.coloring)
 
 
-# The solver's search tree is part of what a direct-mode certificate
-# records (its backtrack count), so these counts are pinned: a change to
-# the search that moves one breaks replay of certificates already
-# written.  Solving the parts of a split tightest first moved b2's count
-# from 7116 to 5916, so a b2 certificate written before that does not
-# replay.
+# The solver refutes every direct row on the whole graph, a cross-check
+# independent of the Hall test the direct certificate rests on, and its
+# search trees are pinned here.  The counts no longer enter certificates:
+# a direct certificate records the copies its Hall test blocked,
+# q!/(q-r)!.  Solving the parts of a split tightest first moved b2's
+# count from 7116 to 5916.
 DIRECT_CERTIFICATES = {
     ("b", 1): {"q": 2, "r": 2, "n": 10, "palette_size": 3, "backtracks": 6},
     ("c", 1): {"q": 1, "r": 1, "n": 3, "palette_size": 2, "backtracks": 1},
@@ -198,7 +199,7 @@ def test_direct_search_tree_is_pinned(case, t):
             "mode": "direct",
             "n": want["n"],
             "palette_size": want["palette_size"],
-            "backtracks": want["backtracks"],
+            "blocked_copies": math.perm(want["q"], want["r"]),
             "total_vectors": want["q"] ** want["r"],
         }
     )

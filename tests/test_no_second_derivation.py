@@ -1,8 +1,9 @@
 """Construction certificates are checked by running the verifier again.
 The checker must not import the kernels the verifier uses, so that a
 second derivation, with gaps of its own, cannot creep back in.  The
-verifier itself certifies minor-freeness by the counting bound, so it
-must not reach the exhaustive minor search either."""
+verifier itself certifies minor-freeness by the counting bound and
+non-colorability by the Hall test, so it must reach neither the
+exhaustive minor search nor the list-coloring solver."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,8 @@ def test_checker_imports_no_verification_kernel():
 def test_verifier_searches_for_no_minor():
     found = _uses(VERIFIER, {"has_clique_minor"})
     assert not found, f"construction.py reaches the minor search: {found}"
+
+
+def test_verifier_runs_no_list_coloring_solver():
+    found = _uses(VERIFIER, {"l_colorable"})
+    assert not found, f"construction.py reaches the list-coloring solver: {found}"
