@@ -23,7 +23,6 @@ from .graphs import (
     degeneracy,
     k_1_r_times_2,
     k_r_times_2,
-    matching_pairs,
     paste,
 )
 from .graphio import (
@@ -103,7 +102,6 @@ __all__ = [
     "k_r_times_2",
     "l_colorable",
     "lower_bound_table",
-    "matching_pairs",
     "params_for",
     "paste",
     "read_adjacency_json",

@@ -48,18 +48,11 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ConstructionRefuted, InvalidArgumentError, ResourceLimitError
-from .graphs import (
-    VERTEX_CAP,
-    Graph,
-    degeneracy,
-    k_1_r_times_2,
-    k_r_times_2,
-    matching_pairs,
-    neighbour_sets,
-)
+from .graphs import VERTEX_CAP, Graph, complete_multipartite, degeneracy, neighbour_sets
 from .listcolor import ListAssignment
 from .minors import counting_bound
 
@@ -127,22 +120,34 @@ class GadgetTemplate:
     def root_clique(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.pairs)
 
+    @cached_property
+    def nbrs(self) -> list[set[int]]:
+        """The neighbour sets of `graph`, built once per template."""
+        return neighbour_sets(self.graph)
+
 
 def gadget_template(params: ConstructionParams) -> GadgetTemplate:
-    if params.gadget_kind == "K_{rx2}":
-        g, apex = k_r_times_2(params.r), ()
-    else:
-        g, apex = k_1_r_times_2(params.r), (2 * params.r,)
-    pairs = matching_pairs(g)
+    """The gadget laid out as `complete_multipartite` numbers its
+    classes: pair i is (2i, 2i+1), and the apex of case c is 2r."""
+    r = params.r
+    apex = () if params.gadget_kind == "K_{rx2}" else (2 * r,)
+    g = complete_multipartite([2] * r + [1] * len(apex))
     if g.n != params.q + 2:
         raise InvalidArgumentError(
-            f"{params.gadget_kind} with r={params.r} has {g.n} vertices, "
+            f"{params.gadget_kind} with r={r} has {g.n} vertices, "
             f"the row needs q+2={params.q + 2}"
         )
-    tpl = GadgetTemplate(graph=g, pairs=pairs, own=tuple(w for _, w in pairs) + apex)
-    if not g.is_clique(tpl.root_clique):
+    pairs = tuple((2 * i, 2 * i + 1) for i in range(r))
+    tpl = GadgetTemplate(graph=g, pairs=pairs, own=tuple(range(1, 2 * r, 2)) + apex)
+    if not _pairwise_adjacent(tpl.nbrs, tpl.root_clique):
         raise ConstructionRefuted(f"gadget roots {tpl.root_clique} are not a clique")
     return tpl
+
+
+def _pairwise_adjacent(nbrs: Sequence[set[int]], vertices: Iterable[int]) -> bool:
+    """Whether `vertices` are pairwise adjacent in the neighbour sets
+    `nbrs`; a repeated vertex fails, being no neighbour of itself."""
+    return all(b in nbrs[a] for a, b in itertools.combinations(vertices, 2))
 
 
 def check_vector(params: ConstructionParams, c: Sequence[int]) -> tuple[int, ...]:
@@ -172,17 +177,17 @@ def gadget_lists(params: ConstructionParams, c: Sequence[int]) -> ListAssignment
     )
 
 
-def _w_list(q: int, ci: int) -> list[int]:
+def _w_list(q: int, ci: int) -> tuple[int, ...]:
     """The list of w_i under a vector whose i-th entry is ci."""
-    return [x for x in range(1, q + 2) if x != ci]
+    return tuple(x for x in range(1, q + 2) if x != ci)
 
 
 def _gadget_rows(
     params: ConstructionParams, tpl: GadgetTemplate, vec: tuple[int, ...]
-) -> list[list[int]]:
+) -> list[tuple[int, ...]]:
     """The rows of `gadget_lists` over a template already built, for a
     vector already checked; sorted, in range, not validated again."""
-    rows = [list(range(1, params.q + 1))] * tpl.graph.n
+    rows = [tuple(range(1, params.q + 1))] * tpl.graph.n
     for (_, w), ci in zip(tpl.pairs, vec):
         rows[w] = _w_list(params.q, ci)
     return rows
@@ -200,8 +205,7 @@ def _hall_blocked(
     for s in clique:
         taken = {pinned[v] for v in nbrs[s] if v in pinned}
         free.update(x for x in lists[s] if x not in taken)
-    pairs = itertools.combinations(clique, 2)
-    return all(b in nbrs[a] for a, b in pairs) and len(free) < len(clique), free
+    return _pairwise_adjacent(nbrs, clique) and len(free) < len(clique), free
 
 
 def gadget_blocked_detail(params: ConstructionParams, c: Sequence[int]) -> dict:
@@ -216,7 +220,7 @@ def gadget_blocked_detail(params: ConstructionParams, c: Sequence[int]) -> dict:
     tpl = gadget_template(params)
     clique = list(tpl.own)
     lists, pinned = _gadget_rows(params, tpl, vec), dict(zip(tpl.root_clique, vec))
-    blocked, free = _hall_blocked(neighbour_sets(tpl.graph), lists, pinned, clique)
+    blocked, free = _hall_blocked(tpl.nbrs, lists, pinned, clique)
     return {
         "vector": list(vec),
         "status": "blocked" if blocked else "no-obstruction",
@@ -309,7 +313,7 @@ def build(params: ConstructionParams) -> tuple[Graph, ListAssignment]:
     edges = [(a, b) for a, b in local if b < r]  # the shared root clique
     cross = [(a, b) for a, b in local if a < r <= b]
     inner = [(a, b) for a, b in local if r <= a]
-    full = list(range(1, q + 1))
+    full = tuple(range(1, q + 1))
     w_lists = {ci: _w_list(q, ci) for ci in full}  # shared by every copy
     pair_of = {w: i for i, (_, w) in enumerate(tpl.pairs)}
     slots = [pair_of.get(u) for u in tpl.own]  # w_i's pair index, None for the apex
@@ -320,7 +324,8 @@ def build(params: ConstructionParams) -> tuple[Graph, ListAssignment]:
         edges += [(a + shift, b + shift) for a, b in inner]
         rows += [full if i is None else w_lists[vec[i]] for i in slots]
     g = Graph.from_edges(stats.n_vertices, edges)
-    la = ListAssignment.from_lists(q + 1, rows)
+    # sorted and in [1, q+1] by construction, so from_lists' checks are skipped
+    la = ListAssignment(palette_size=q + 1, lists=tuple(rows))
     if (g.n, g.m) != (stats.n_vertices, stats.n_edges):
         raise ConstructionRefuted(
             f"build made {g.n} vertices and {g.m} edges, the counts say "
@@ -434,8 +439,7 @@ def _direct_blocked(params: ConstructionParams, g: Graph, la: ListAssignment) ->
     q, r = params.q, params.r
     size = len(gadget_template(params).own)
     nbrs = neighbour_sets(g)
-    pairs = itertools.combinations(range(r), 2)
-    if la.n != g.n or g.n < r or not all(b in nbrs[a] for a, b in pairs):
+    if la.n != g.n or g.n < r or not _pairwise_adjacent(nbrs, range(r)):
         raise ConstructionRefuted(f"roots 0..{r - 1} are not a clique of the graph")
     blocked = 0
     for vec in filter(vector_is_proper, itertools.product(*la.lists[:r])):

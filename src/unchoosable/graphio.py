@@ -2,13 +2,13 @@
 
 graph6 packs the upper triangle of the adjacency matrix column by column
 (x_{0,1}, x_{0,2}, x_{1,2}, x_{0,3}, ...) into 6-bit groups offset by 63.
-It carries no labels.  Its 6-bit groups are base64's (RFC 4648), most
-significant bit first, in another alphabet: so the codec packs and
-unpacks the n(n-1)/2 bits with `binascii` and maps the alphabets with
-one `bytes.translate`.  Python itself takes O(n + m) steps, one per edge
-and per column, and never builds `Graph.adj`.  The adjacency-JSON format
-``{"n": int, "edges": [[u,v], ...], "labels": {"v": [...], "w": [...]}}``
-keeps edges sorted lexicographically and preserves role labels.
+Its 6-bit groups are base64's (RFC 4648), most significant bit first,
+in another alphabet: so the codec packs and unpacks the n(n-1)/2 bits
+with `binascii` and maps the alphabets with one `bytes.translate`.
+Python itself takes O(n + m) steps, one per edge and per column, and
+never builds `Graph.adj`.  The adjacency-JSON format is
+``{"n": int, "edges": [[u,v], ...]}`` with edges sorted
+lexicographically; the reader ignores any other key.
 """
 
 from __future__ import annotations
@@ -127,13 +127,7 @@ def read_graph6(text: str) -> Graph:
 
 
 def write_adjacency_json(g: Graph) -> str:
-    doc: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
-    if g.labels:
-        groups: dict[str, list[int]] = {}
-        for v, tag in g.labels:
-            groups.setdefault(tag, []).append(v)
-        doc["labels"] = {tag: sorted(vs) for tag, vs in sorted(groups.items())}
-    return json.dumps(doc)
+    return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]})
 
 
 def load_json(text: str) -> object:
@@ -189,22 +183,8 @@ def read_adjacency_json(text: str) -> Graph:
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ParseError(f"bad edge entry {e!r}")
-    labels = None
-    if "labels" in doc:
-        if not isinstance(doc["labels"], dict):
-            raise ParseError("'labels' must be an object of tag -> [ids]")
-        labels = {}
-        for tag, vs in doc["labels"].items():
-            if not isinstance(vs, list):
-                raise ParseError(f"label tag {tag!r} needs a list of ids")
-            for v in vs:
-                if type(v) is not int:
-                    raise ParseError(f"bad label id {v!r} under tag {tag!r}")
-                if v in labels:
-                    raise ParseError(f"vertex {v} labeled twice")
-                labels[v] = tag
     try:
-        g = Graph.from_edges(n, edges, labels)
+        g = Graph.from_edges(n, edges)
     except InvalidArgumentError as e:
         raise ParseError(str(e)) from e
     if g.m != len(edges):  # from_edges merges an edge given twice

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError, PreconditionError
 
@@ -78,21 +78,14 @@ class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
     Immutable and hashable, hence safely shareable across concurrent
-    readers.  `labels` holds optional role tags, e.g. 'v'/'w' for the
-    endpoints of a deleted matching.
+    readers.
     """
 
     n: int
     edges: tuple[Edge, ...]
-    labels: tuple[tuple[int, str], ...] = ()
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[Sequence[int]],
-        labels: Mapping[int, str] | Iterable[tuple[int, str]] | None = None,
-    ) -> Graph:
+    def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> Graph:
         """Validate, normalize and deduplicate `edges` into a Graph."""
         if n < 0:
             raise InvalidArgumentError(f"vertex count must be >= 0, got {n}")
@@ -104,15 +97,7 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidArgumentError(f"edge ({u},{v}) out of range [0,{n})")
             norm.add((u, v) if u < v else (v, u))
-        lab: tuple[tuple[int, str], ...] = ()
-        if labels:
-            items = labels.items() if hasattr(labels, "items") else labels
-            merged = {int(v): str(tag) for v, tag in items}
-            for v in merged:
-                if not (0 <= v < n):
-                    raise InvalidArgumentError(f"label on unknown vertex {v}")
-            lab = tuple(sorted(merged.items()))
-        return cls(n=n, edges=tuple(sorted(norm)), labels=lab)
+        return cls(n=n, edges=tuple(sorted(norm)))
 
     @property
     def m(self) -> int:
@@ -126,10 +111,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    @cached_property
-    def label_map(self) -> dict[int, str]:
-        return dict(self.labels)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -192,36 +173,25 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
 
 
 def _matched_multipartite(r: int, singletons: int) -> Graph:
-    """r classes of size 2, the pair (2i, 2i+1) tagged 'v' and 'w', then
-    `singletons` unlabeled classes of size 1."""
+    """r classes of size 2, the pair (2i, 2i+1), then `singletons`
+    classes of size 1."""
     if r <= 0:
         raise InvalidArgumentError(f"r must be positive, got {r}")
-    g = complete_multipartite([2] * r + [1] * singletons)
-    labels = tuple((v, "vw"[v % 2]) for v in range(2 * r))
-    return Graph(n=g.n, edges=g.edges, labels=labels)
+    return complete_multipartite([2] * r + [1] * singletons)
 
 
 def k_r_times_2(r: int) -> Graph:
     """K_{2r} minus a perfect matching: r classes of size 2.
 
-    The matched pair of class i is (2i, 2i+1), tagged 'v' and 'w'.
+    The matched pair of class i is (2i, 2i+1).
     """
     return _matched_multipartite(r, 0)
 
 
 def k_1_r_times_2(r: int) -> Graph:
     """K_{2r+1} minus a near-perfect matching: r classes of size 2 plus a
-    singleton class (vertex 2r, unlabeled)."""
+    singleton class (vertex 2r)."""
     return _matched_multipartite(r, 1)
-
-
-def matching_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
-    """The (v_i, w_i) pairs recorded in a graph's labels, by pair order."""
-    vs = sorted(v for v, tag in g.labels if tag == "v")
-    ws = sorted(v for v, tag in g.labels if tag == "w")
-    if len(vs) != len(ws):
-        raise InvalidArgumentError("unbalanced v/w labels")
-    return tuple(zip(vs, ws))
 
 
 def paste(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequence[int]) -> Graph:
@@ -253,10 +223,7 @@ def paste(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequence[int]) -> Graph:
         a, b = relabel[u], relabel[v]
         edges.add((a, b) if a < b else (b, a))  # identification cannot create
         # loops (s2 is duplicate-free) and duplicates are merged here
-
-    labels = {relabel[v]: tag for v, tag in g2.labels}
-    labels.update(g1.label_map)  # g1 wins on identified vertices
-    return Graph.from_edges(fresh, edges, labels or None)
+    return Graph.from_edges(fresh, edges)
 
 
 def neighbour_sets(g: Graph) -> list[set[int]]:

@@ -159,15 +159,13 @@ def counting_bound(g: Graph, parts: Sequence[Sequence[int]]) -> int | None:
     return (g.n + len(parts)) // 2
 
 
-def hadwiger_number(g: Graph, timeout: float | None = None) -> int:
+def hadwiger_number(g: Graph) -> int:
     """Largest t such that K_t is a minor of `g`."""
     if g.n < 1:
         raise InvalidArgumentError("hadwiger number needs at least one vertex")
-    deadline = None if timeout is None else time.monotonic() + timeout
     best = 1
     for t in range(2, g.n + 1):
-        left = None if deadline is None else max(deadline - time.monotonic(), 0.001)
-        if not has_clique_minor(g, t, timeout=left).contains:
+        if not has_clique_minor(g, t).contains:
             break
         best = t
     return best

@@ -348,7 +348,6 @@ def test_usage_error_exits_2(tmp_path, capsys):
     malformed = [
         ("lists", {"palette_size": 2, "lists": [[1], [2], [1]]}),
         ("lists", dict(lists, palette_size="x")),
-        ("graph", {"n": 3, "labels": {"v": 5}}),
         ("graph", {"n": 3, "edges": [[0, True]]}),
         ("graph", {"n": 3, "edges": [[0, 1], [0, 1]]}),
         ("graph", {"n": 3, "edges": [[0, 1], [1, 0]]}),

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 
+import networkx as nx
 import pytest
 
 from unchoosable import (
@@ -73,19 +74,20 @@ def test_params_rejects_bad_input():
 
 
 def test_gadget_template_invariants():
-    for case, t in [("a", 1), ("b", 1), ("c", 1), ("a", 2), ("b", 2), ("c", 2)]:
+    for case, t in itertools.product("abc", range(1, 13)):
         pp = params_for(case, t)
         tpl = gadget_template(pp)
+        g = nx.Graph(tpl.graph.edges)
+        g.add_nodes_from(range(tpl.graph.n))
         assert tpl.graph.n == pp.q + 2
-        assert len(tpl.pairs) == pp.r
-        assert tpl.graph.is_clique(tpl.root_clique)
-        for v, w in tpl.pairs:
-            assert not tpl.graph.has_edge(v, w)
-        # the w_i, then in case c the apex, which every other vertex meets
-        assert tpl.own[: pp.r] == tuple(w for _, w in tpl.pairs)
-        assert len(tpl.own) == pp.r + (case == "c")
-        if case == "c":
-            assert tpl.graph.degree(tpl.own[-1]) == tpl.graph.n - 1
+        # the only non-edges are the deleted matching, so the roots are
+        # a clique and in case c the apex meets every other vertex
+        missing = {tuple(sorted(e)) for e in nx.complement(g).edges}
+        assert missing == set(tpl.pairs) and len(tpl.pairs) == pp.r
+        assert tpl.root_clique == tuple(range(0, 2 * pp.r, 2))
+        # the w_i, then in case c the apex
+        apex = (2 * pp.r,) if case == "c" else ()
+        assert tpl.own == tuple(range(1, 2 * pp.r, 2)) + apex
 
 
 def test_gadget_lists_formula():

@@ -51,3 +51,10 @@ def test_verifier_searches_for_no_minor():
 def test_verifier_runs_no_list_coloring_solver():
     found = _uses(VERIFIER, {"l_colorable"})
     assert not found, f"construction.py reaches the list-coloring solver: {found}"
+
+
+def test_verifier_keeps_one_adjacency_representation():
+    """The gadget's layout is arithmetic and its adjacency is read from
+    neighbour sets only: no bitmasks, no mask clique test, no labels."""
+    found = _uses(VERIFIER, {"adj", "is_clique", "labels", "matching_pairs"})
+    assert not found, f"construction.py reaches a second adjacency: {found}"
