@@ -12,10 +12,11 @@ same in both modes, so its row is all the replay needs.  No check
 searches: a direct replay rebuilds the graph and checks the Hall
 obstruction on each gadget copy.  A bundle's manifest is compared with
 the manifest arithmetic first, so a bundle relabelled to another row is
-rejected without verifying that row.  On a mismatch the reason names
-the first differing path.  Nothing in the payload is trusted beyond the
-row and the mode, and this module knows no field of these certificates
-beyond those.
+rejected without verifying that row.  Equal documents are accepted by
+a type-exact comparison that builds no strings; only on a mismatch does
+a second walk name the first differing path.  Nothing in the payload is
+trusted beyond the row and the mode, and this module knows no field of
+these certificates beyond those.
 
 Certificates about a graph given from outside (`branch-set-positive`
 witnesses and `counting-bound` certificates) are proof-checked: the
@@ -144,7 +145,7 @@ def _check_construction(cert: dict, kind: str) -> CheckResult:
             if mode is None:
                 return _fail(f"unknown manifest mode {man['mode']!r}")
             want = build_stats(params).manifest(man["mode"])
-            if diff := _first_difference(want, man, "manifest"):
+            if diff := _difference(want, man, "manifest"):
                 return _fail(diff)
             fresh = verify_construction(params, mode)
         elif kind == "non-colorability":
@@ -155,13 +156,37 @@ def _check_construction(cert: dict, kind: str) -> CheckResult:
             fresh = verify_minor_free(params)
     except ConstructionRefuted as exc:
         return _fail(f"re-derivation refutes the claim: {exc}")
-    if diff := _first_difference(fresh, cert):
+    if diff := _difference(fresh, cert):
         return _fail(diff)
     return CheckResult(
         True,
         f"{kind} certificate re-derived for case {params.case}, "
         f"t={params.t}: every field matches",
     )
+
+
+def _same(fresh, given) -> bool:
+    """Whether `given` equals the re-derived `fresh`, type for type at
+    every node: dict keys compare as sets, so their order is free, and
+    lists must have equal lengths.  It recurses only as deep as `fresh`
+    goes."""
+    if type(fresh) is not type(given):
+        return False
+    if type(fresh) is dict:
+        return fresh.keys() == given.keys() and all(
+            _same(v, given[k]) for k, v in fresh.items()
+        )
+    if type(fresh) is list:
+        return len(fresh) == len(given) and all(map(_same, fresh, given))
+    return fresh == given
+
+
+def _difference(fresh, given, path: str = "") -> str | None:
+    """None when `given` equals `fresh` (`_same`), else the reason: the
+    first differing path, which only a mismatch pays to name."""
+    if _same(fresh, given):
+        return None
+    return _first_difference(fresh, given, path) or f"{path or 'certificate'}: differs"
 
 
 def _show(value) -> str:

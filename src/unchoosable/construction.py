@@ -110,6 +110,9 @@ class GadgetTemplate:
     are the root clique that every copy shares.  own holds the vertices
     a pasted copy adds, in the order `build` lays out their ids: the w_i
     in pair order, then the apex in case c.
+
+    `gadget_template` hands the same template to every caller of a row,
+    so it is shared: nothing may mutate it, `nbrs` included.
     """
 
     graph: Graph
@@ -122,13 +125,21 @@ class GadgetTemplate:
 
     @cached_property
     def nbrs(self) -> list[set[int]]:
-        """The neighbour sets of `graph`, built once per template."""
+        """The neighbour sets of `graph`, built once per template; read
+        them, never change them."""
         return neighbour_sets(self.graph)
 
 
+@functools.lru_cache(maxsize=1)
 def gadget_template(params: ConstructionParams) -> GadgetTemplate:
     """The gadget laid out as `complete_multipartite` numbers its
-    classes: pair i is (2i, 2i+1), and the apex of case c is 2r."""
+    classes: pair i is (2i, 2i+1), and the apex of case c is 2r.
+
+    A pure function of the row, cached for the last row asked: a verify
+    and the replay of its certificate ask for one row several times, and
+    build it once.  One slot bounds the memory, O(r^2) edges and their
+    neighbour sets.  The template is shared between calls and never
+    mutated."""
     r = params.r
     apex = () if params.gadget_kind == "K_{rx2}" else (2 * r,)
     g = complete_multipartite([2] * r + [1] * len(apex))
@@ -382,12 +393,14 @@ def verify_not_colorable(
     params: ConstructionParams,
     mode: str = "compositional",
     built: tuple[Graph, ListAssignment] | None = None,
+    nbrs: Sequence[set[int]] | None = None,
 ) -> dict:
     """Certify the pasted graph is not colorable from its lists: every
     proper root coloring is some vector, whose gadget copy cannot be
     completed.  Compositional mode decides one representative per class
     of `color_pattern_classes`, whose sizes must sum to q^r; direct mode
-    checks every copy of the materialized graph (`_direct_blocked`)."""
+    checks every copy of the materialized graph (`_direct_blocked`),
+    reading `nbrs`, the neighbour sets of built's graph, if given."""
     if mode not in ("direct", "compositional"):
         raise InvalidArgumentError(f"unknown verification mode {mode!r}")
     q, r = params.q, params.r
@@ -396,11 +409,13 @@ def verify_not_colorable(
     )
     if mode == "direct":
         g, la = built if built is not None else build(params)
+        if nbrs is None:
+            nbrs = neighbour_sets(g)
         return {
             **head,
             "n": g.n,
             "palette_size": la.palette_size,
-            "blocked_copies": _direct_blocked(params, g, la),
+            "blocked_copies": _direct_blocked(params, g, la, nbrs),
             "total_vectors": q**r,
         }
 
@@ -431,14 +446,16 @@ def verify_not_colorable(
     }
 
 
-def _direct_blocked(params: ConstructionParams, g: Graph, la: ListAssignment) -> int:
-    """`_hall_blocked` on the materialized graph: the roots 0..r-1 must
-    be a clique, and each proper root coloring from their lists, of rank
-    k in `build`'s order of [1,q]^r, must be shut out by copy k's own
-    vertices.  Returns the copies checked, q!/(q-r)!."""
+def _direct_blocked(
+    params: ConstructionParams, g: Graph, la: ListAssignment, nbrs: Sequence[set[int]]
+) -> int:
+    """`_hall_blocked` on the materialized graph g, whose neighbour sets
+    are `nbrs`: the roots 0..r-1 must be a clique, and each proper root
+    coloring from their lists, of rank k in `build`'s order of [1,q]^r,
+    must be shut out by copy k's own vertices.  Returns the copies
+    checked, q!/(q-r)!."""
     q, r = params.q, params.r
     size = len(gadget_template(params).own)
-    nbrs = neighbour_sets(g)
     if la.n != g.n or g.n < r or not _pairwise_adjacent(nbrs, range(r)):
         raise ConstructionRefuted(f"roots 0..{r - 1} are not a clique of the graph")
     blocked = 0
@@ -458,10 +475,13 @@ def _direct_blocked(params: ConstructionParams, g: Graph, la: ListAssignment) ->
     return blocked
 
 
-def verify_degeneracy(params: ConstructionParams, built: Graph) -> dict:
+def verify_degeneracy(
+    params: ConstructionParams, built: Graph, nbrs: Sequence[set[int]] | None = None
+) -> dict:
     """Every list in the construction has size q, so q-degeneracy is
-    what makes the family tight against greedy coloring."""
-    res = degeneracy(built)
+    what makes the family tight against greedy coloring.  `nbrs` are
+    built's neighbour sets, if already made."""
+    res = degeneracy(built, nbrs)
     if res.degeneracy > params.q:
         raise ConstructionRefuted(
             f"graph for case {params.case}, t={params.t} has degeneracy "
@@ -475,19 +495,21 @@ def verify_construction(
 ) -> dict:
     """Full pipeline: minor-freeness plus non-colorability, bundled with
     the instance manifest.  Direct mode materializes the graph (subject
-    to VERTEX_CAP) and adds the degeneracy check.  Every step is counted
-    or checked, none searched, so no step takes a time budget."""
+    to VERTEX_CAP) and adds the degeneracy check; both read the graph's
+    neighbour sets, built once.  Every step is counted or checked, none
+    searched, so no step takes a time budget."""
     built = build(params) if mode == "direct" else None
+    nbrs = neighbour_sets(built[0]) if built else None
     bundle = {
         "kind": "construction-verified",
         "manifest": build_stats(params).manifest("full" if built else "stats-only"),
         "children": [
             verify_minor_free(params),
-            verify_not_colorable(params, mode=mode, built=built),
+            verify_not_colorable(params, mode=mode, built=built, nbrs=nbrs),
         ],
     }
     if built:
-        bundle["degeneracy"] = verify_degeneracy(params, built[0])
+        bundle["degeneracy"] = verify_degeneracy(params, built[0], nbrs)
     return bundle
 
 

@@ -235,7 +235,7 @@ def neighbour_sets(g: Graph) -> list[set[int]]:
     return nbrs
 
 
-def degeneracy(g: Graph) -> DegeneracyResult:
+def degeneracy(g: Graph, nbrs: Sequence[set[int]] | None = None) -> DegeneracyResult:
     """Min-degree elimination with lowest-id tie-break.
 
     The reported degeneracy equals the largest minimum degree over all
@@ -243,11 +243,13 @@ def degeneracy(g: Graph) -> DegeneracyResult:
     smallest-last order of Matula and Beck (J. ACM 1983), kept in a
     min-heap of (degree, id) whose stale entries are skipped when
     popped: O((n+m) log n) time and O(n+m) space, from `neighbour_sets`
-    without the adjacency masks.
+    without the adjacency masks.  A caller that already holds
+    `neighbour_sets(g)` passes them as `nbrs`; they are only read.
     """
     import heapq  # on first use: compositional verify orders no vertices
 
-    nbrs = neighbour_sets(g)
+    if nbrs is None:
+        nbrs = neighbour_sets(g)
     deg = [len(row) for row in nbrs]
     heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)

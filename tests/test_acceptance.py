@@ -150,9 +150,13 @@ def test_criterion_4_t2_compositional_symmetry():
 def test_criterion_5_lower_bound_table():
     def body():
         lower_bound_table()  # warm
-        t0 = time.monotonic()
-        rows = lower_bound_table()
-        elapsed = time.monotonic() - t0
+        # the fastest of 5 calls, as the bench times a step: one call
+        # can be slowed past 1 ms by a busy neighbour on the machine
+        elapsed = float("inf")
+        for _ in range(5):
+            t0 = time.monotonic()
+            rows = lower_bound_table()
+            elapsed = min(elapsed, time.monotonic() - t0)
         assert [rows[p]["lower_bound"] for p in range(3, 12)] == [
             2, 3, 5, 6, 7, 9, 10, 11, 13,
         ]

@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import operator
 import time
 
 import pytest
@@ -345,6 +348,54 @@ def test_every_single_field_edit_rejected(bundles, name):
     accepted = [path for path, bad in edits if check_certificate(bad).ok]
     assert not accepted
     assert check_certificate(cert).ok  # the edits left the original alone
+
+
+def _reordered(doc):
+    """`doc` with the keys of every object in reverse order."""
+    if isinstance(doc, dict):
+        return {key: _reordered(doc[key]) for key in reversed(doc)}
+    if isinstance(doc, list):
+        return [_reordered(value) for value in doc]
+    return doc
+
+
+@pytest.mark.parametrize("name", ["b1", "a1", "a2", "b2"])
+def test_reordered_keys_accepted(bundles, name):
+    cert = _reordered(roundtrip(bundles[name]))
+    assert list(cert) == list(reversed(list(bundles[name])))
+    res = check_certificate(cert)
+    assert res.ok, res.reason
+
+
+def test_python_built_retypes_rejected_with_their_path(bundles):
+    # a document built in Python, not read from JSON: Python's == takes
+    # 1 for true and 2.0 for 2, the check does not, nor a tuple for a list
+    edits = [
+        (("children", 0, "glue"), tuple, "children[0].glue"),
+        (("children", 0, "glue_is_clique"), int, "children[0].glue_is_clique"),
+        (("children", 1, "classes", 0, "size"), float, "children[1].classes[0].size"),
+        (("manifest", "n_gadgets"), float, "manifest.n_gadgets"),
+    ]
+    for path, retype, named in edits:
+        cert = copy.deepcopy(bundles["a2"])
+        *head, last = path
+        node = functools.reduce(operator.getitem, head, cert)
+        node[last] = retype(node[last])
+        res = check_certificate(cert)
+        assert not res.ok and res.reason.startswith(named + ":"), (path, res.reason)
+
+
+def test_equal_documents_name_no_path(bundles, monkeypatch):
+    # the first differing path is only worked out for a mismatch
+    import unchoosable.certificates as certificates
+
+    def named(*args):
+        pytest.fail(f"a path was named for an equal document: {args[2:]}")
+
+    monkeypatch.setattr(certificates, "_first_difference", named)
+    for name, cert in bundles.items():
+        res = check_certificate(roundtrip(cert))
+        assert res.ok, (name, res.reason)
 
 
 def test_crafted_direct_agreement_rejected_without_search(bundles):

@@ -36,6 +36,7 @@ from unchoosable import (
     verify_not_colorable,
 )
 from unchoosable import construction
+from unchoosable.graphs import neighbour_sets
 
 
 def test_parameter_table_rows():
@@ -379,6 +380,57 @@ def test_compositional_verify_and_check_run_no_solver():
         assert res.ok, (case, t, res.reason)
 
 
+def test_verify_and_check_build_one_template(monkeypatch):
+    # the template is cached per row, so a verify and the replay of its
+    # certificate lay out the gadget once between them
+    real = construction.complete_multipartite
+    calls = []
+
+    def counted(sizes):
+        calls.append(tuple(sizes))
+        return real(sizes)
+
+    monkeypatch.setattr(construction, "complete_multipartite", counted)
+    for case, t, mode in [("a", 2, "compositional"), ("a", 1, "direct")]:
+        gadget_template.cache_clear()
+        calls.clear()
+        bundle = verify_construction(params_for(case, t), mode=mode)
+        assert check_certificate(json.loads(json.dumps(bundle))).ok
+        assert len(calls) == 1, (case, t, mode, calls)
+
+
+def test_template_cache_holds_one_row_and_stays_unchanged():
+    gadget_template.cache_clear()
+    for case in "ab":
+        bundle = verify_construction(params_for(case, 2), mode="compositional")
+        assert check_certificate(json.loads(json.dumps(bundle))).ok
+    info = gadget_template.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    tpl = gadget_template(params_for("b", 2))
+    assert gadget_template.cache_info().hits == info.hits + 1
+    # shared by every caller of the row, and none of them changed it
+    assert tpl.nbrs == neighbour_sets(tpl.graph)
+
+
+def test_direct_verify_builds_the_graph_neighbour_sets_once(monkeypatch):
+    # the Hall test and the degeneracy order share one set per vertex
+    from unchoosable import graphs
+
+    sizes = []
+
+    def counted(g):
+        sizes.append(g.n)
+        return neighbour_sets(g)
+
+    monkeypatch.setattr(construction, "neighbour_sets", counted)
+    monkeypatch.setattr(graphs, "neighbour_sets", counted)
+    pp = params_for("a", 1)
+    bundle = verify_construction(pp, mode="direct")
+    assert sizes.count(build_stats(pp).n_vertices) == 1
+    g, _ = build(pp)
+    assert bundle["degeneracy"]["degeneracy"] == graphs.degeneracy(g).degeneracy
+
+
 def test_obstruction_blocks_every_row_up_to_t100():
     # the pairwise adjacent w_i (plus the apex in case c) keep q+1-r
     # colors, one fewer than there are of them.  t <= 33 covers every
@@ -510,8 +562,8 @@ def test_verify_construction_refutes_degeneracy_above_q(monkeypatch):
 
     real = cons.degeneracy
 
-    def fake(g):
-        res = real(g)
+    def fake(g, *rest):
+        res = real(g, *rest)
         return dataclasses.replace(res, degeneracy=res.degeneracy + 10)
 
     monkeypatch.setattr(cons, "degeneracy", fake)
