@@ -317,24 +317,30 @@ def build(params: ConstructionParams) -> tuple[Graph, ListAssignment]:
     q, r = params.q, params.r
     tpl = gadget_template(params)
     size = len(tpl.own)
-    # the template's edges by their ids in copy 0; copy k adds k*size to
-    # every id from r on
+    # the template's edges by their ids in copy 0, sorted; copy k adds
+    # k*size to every id from r on
     at = {u: i for i, u in enumerate(tpl.root_clique + tpl.own)}
-    local = [sorted((at[u], at[v])) for u, v in tpl.graph.edges]
-    edges = [(a, b) for a, b in local if b < r]  # the shared root clique
-    cross = [(a, b) for a, b in local if a < r <= b]
-    inner = [(a, b) for a, b in local if r <= a]
+    local = sorted(tuple(sorted((at[u], at[v]))) for u, v in tpl.graph.edges)
+    shifts = range(0, stats.n_gadgets * size, size)
+    # emitted in lexicographic order, so normalized as from_edges keeps
+    # them: root i's clique edges, then its edges into each copy in copy
+    # order; then each copy's inner edges in copy order
+    edges = []
+    for i in range(r):
+        mine = [b for a, b in local if a == i]
+        cross = [b for b in mine if b >= r]
+        edges += [(i, b) for b in mine if b < r]
+        edges += [(i, b + s) for s in shifts for b in cross]
+    inner = [(a, b) for a, b in local if a >= r]
+    edges += [(a + s, b + s) for s in shifts for a, b in inner]
     full = tuple(range(1, q + 1))
     w_lists = {ci: _w_list(q, ci) for ci in full}  # shared by every copy
     pair_of = {w: i for i, (_, w) in enumerate(tpl.pairs)}
     slots = [pair_of.get(u) for u in tpl.own]  # w_i's pair index, None for the apex
     rows = [full] * r
-    for k, vec in enumerate(itertools.product(full, repeat=r)):
-        shift = k * size
-        edges += [(a, b + shift) for a, b in cross]
-        edges += [(a + shift, b + shift) for a, b in inner]
+    for vec in itertools.product(full, repeat=r):
         rows += [full if i is None else w_lists[vec[i]] for i in slots]
-    g = Graph.from_edges(stats.n_vertices, edges)
+    g = Graph(n=stats.n_vertices, edges=tuple(edges))
     # sorted and in [1, q+1] by construction, so from_lists' checks are skipped
     la = ListAssignment(palette_size=q + 1, lists=tuple(rows))
     if (g.n, g.m) != (stats.n_vertices, stats.n_edges):

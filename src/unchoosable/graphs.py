@@ -240,31 +240,47 @@ def degeneracy(g: Graph, nbrs: Sequence[set[int]] | None = None) -> DegeneracyRe
 
     The reported degeneracy equals the largest minimum degree over all
     subgraphs; the elimination order witnesses the upper bound.  The
-    smallest-last order of Matula and Beck (J. ACM 1983), kept in a
-    min-heap of (degree, id) whose stale entries are skipped when
-    popped: O((n+m) log n) time and O(n+m) space, from `neighbour_sets`
-    without the adjacency masks.  A caller that already holds
-    `neighbour_sets(g)` passes them as `nbrs`; they are only read.
+    smallest-last order of Matula and Beck (J. ACM 1983), kept in one
+    min-heap of vertex ids per degree, as Batagelj and Zaversnik bucket
+    vertices for cores (arXiv cs/0310049), and a cursor at the least
+    degree whose heap may be non-empty.  A removal pushes each live
+    neighbour onto the heap of its new degree and steps the cursor down
+    to it if it fell below; an entry whose vertex was removed, or whose
+    degree changed since the push, is skipped when it reaches the top.
+    Each edge pushes once, so the worst case is O((n+m) log n) time and
+    O(n+m) space, from `neighbour_sets` without the adjacency masks.  A
+    caller that already holds `neighbour_sets(g)` passes them as `nbrs`;
+    they are only read.
     """
-    import heapq  # on first use: compositional verify orders no vertices
+    # imported on first use: compositional verify orders no vertices
+    from heapq import heappop, heappush
 
     if nbrs is None:
         nbrs = neighbour_sets(g)
-    deg = [len(row) for row in nbrs]
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    alive = [True] * g.n
+    deg = [len(row) for row in nbrs]  # -1 once removed
+    heaps: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, dv in enumerate(deg):
+        heaps[dv].append(v)  # ascending, so already a heap
     order = []
-    d = 0
-    while heap:
-        dv, v = heapq.heappop(heap)
-        if not alive[v] or dv != deg[v]:
-            continue  # v was removed, or its degree fell since this push
-        d = max(d, dv)
-        alive[v] = False
+    d = cur = 0
+    for _ in range(g.n):
+        while True:  # the least live (degree, id): every live v is in heaps[deg[v]]
+            heap = heaps[cur]
+            if not heap:
+                cur += 1
+                continue
+            v = heappop(heap)
+            if deg[v] == cur:
+                break  # else v was removed, or its degree fell since this push
+        if cur > d:
+            d = cur
+        deg[v] = -1
         order.append(v)
         for u in nbrs[v]:
-            if alive[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
+            du = deg[u] - 1
+            if du >= 0:  # live: v is its neighbour, so its degree was >= 1
+                deg[u] = du
+                heappush(heaps[du], u)
+                if du < cur:
+                    cur = du
     return DegeneracyResult(degeneracy=d, elimination_order=tuple(order))

@@ -76,12 +76,13 @@ class ListAssignment:
             raise InvalidArgumentError(f"palette size must be >= 0, got {palette_size}")
         rows = []
         for v, row in enumerate(lists):
-            colors = sorted(set(int(c) for c in row))
-            for c in colors:
-                if not (1 <= c <= palette_size):
-                    raise InvalidArgumentError(
-                        f"vertex {v} lists color {c}, outside [1,{palette_size}]"
-                    )
+            colors = sorted(set(map(int, row)))
+            # sorted, so the ends decide; the scan names the least bad color
+            if colors and (colors[0] < 1 or colors[-1] > palette_size):
+                c = next(c for c in colors if not (1 <= c <= palette_size))
+                raise InvalidArgumentError(
+                    f"vertex {v} lists color {c}, outside [1,{palette_size}]"
+                )
             rows.append(tuple(colors))
         return cls(palette_size=palette_size, lists=tuple(rows))
 

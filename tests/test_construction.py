@@ -302,6 +302,15 @@ def test_build_equals_folded_pasting():
         assert (folded.n, folded.edges) == (g.n, g.edges)
 
 
+@pytest.mark.parametrize("case,t", [("a", 1), ("b", 1), ("c", 1), ("c", 2), ("b", 2)])
+def test_build_edges_are_canonical(case, t):
+    # build makes its Graph without from_edges, so nothing else sorts or
+    # normalizes its edges
+    g, _ = build(params_for(case, t))
+    assert all(u < v for u, v in g.edges)
+    assert g.edges == Graph.from_edges(g.n, g.edges).edges
+
+
 def test_build_respects_vertex_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         build(params_for("a", 2))

@@ -191,6 +191,55 @@ def test_degeneracy_order_matches_naive_scan():
         assert res.degeneracy == most
 
 
+def _spider(legs: int, length: int) -> Graph:
+    """A star's centre 0 with a pendant path of `length` vertices per leg."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges.append((0, first))
+        edges += [(v, v + 1) for v in range(first, first + length - 1)]
+    return Graph.from_edges(1 + legs * length, edges)
+
+
+def _wheel(rim: int) -> Graph:
+    """Centre 0 joined to a cycle 1..rim: removing a rim vertex (degree 3)
+    drops its two rim neighbours to 2, below the least degree so far."""
+    edges = [(0, v) for v in range(1, rim + 1)]
+    edges += [(v, v % rim + 1) for v in range(1, rim + 1)]
+    return Graph.from_edges(rim + 1, edges)
+
+
+def _degeneracy_edge_cases():
+    yield "empty", Graph(n=0, edges=())  # result (0, ())
+    clique = (1, 3, 4, 6, 8)
+    yield "isolated-beside-clique", Graph.from_edges(
+        9, [(u, v) for u in clique for v in clique if u < v]
+    )
+    yield "spider", _spider(4, 3)
+    yield "wheel", _wheel(9)
+    rng = random.Random(409)
+    for k in range(4):
+        n = rng.randint(200, 400)
+        yield f"sparse-{k}", random_graph(rng, n, rng.uniform(1.0, 4.0) / n)
+
+
+@pytest.mark.parametrize(
+    "g", [pytest.param(g, id=name) for name, g in _degeneracy_edge_cases()]
+)
+def test_degeneracy_edge_cases_match_naive_scan(g):
+    # the per-degree heaps fill, empty and refill, and the cursor steps
+    # back down; the order must still be the least (degree, id) each time
+    res = degeneracy(g)
+    order = naive_elimination_order(g)
+    assert res.elimination_order == order
+    alive = set(range(g.n))
+    most = 0
+    for v in order:
+        alive.remove(v)
+        most = max(most, len(set(g.neighbors(v)) & alive))
+    assert res.degeneracy == most
+
+
 def mask(vertices) -> int:
     return sum(1 << v for v in set(vertices))
 

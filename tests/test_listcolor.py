@@ -42,6 +42,20 @@ def test_list_assignment_validation():
     assert la.lists == ((1, 3),)
 
 
+@pytest.mark.parametrize(
+    "rows,bad",
+    [
+        ([[1, 2], [0, 2]], "vertex 1 lists color 0"),
+        ([[2, -5, 1]], "vertex 0 lists color -5"),
+        ([[9, 1, 4]], "vertex 0 lists color 4"),
+        ([[1], [7, 0, -1, 2]], "vertex 1 lists color -1"),  # the least bad color
+    ],
+)
+def test_list_assignment_names_the_least_color_out_of_range(rows, bad):
+    with pytest.raises(InvalidArgumentError, match=f"^{bad}, outside \\[1,3\\]$"):
+        ListAssignment.from_lists(3, rows)
+
+
 def test_list_assignment_json_roundtrip():
     la = ListAssignment.from_lists(4, [[1, 2], [3], [2, 4]])
     doc = la.to_json_dict()

@@ -3,7 +3,11 @@ t: it works on one gadget of q+2 = O(t) vertices and O(t^2) edges,
 never on the q^r copies.  Each row is timed with the template cache
 cleared, so the gadget is laid out afresh, and the fitted log-log
 exponent must stay below 2.5: on 2 vCPU and Python 3.11 it is about
-1.6 for every case over t = 8..32."""
+1.6 for every case over t = 8..32.
+
+Direct mode's degeneracy order must grow near-linearly in the graph's
+size: four times the vertices and edges may take at most eight times
+as long, a loose factor for a noisy machine (about 5 measured)."""
 
 import json
 import math
@@ -12,7 +16,9 @@ import time
 import pytest
 
 from unchoosable import (
+    Graph,
     check_certificate,
+    degeneracy,
     gadget_template,
     params_for,
     verify_construction,
@@ -50,3 +56,23 @@ def test_compositional_verify_and_check_is_polynomial_in_t(case):
     times = [_verify_and_check(case, t) for t in SCALES]
     exponent = _slope([math.log(t) for t in SCALES], [math.log(s) for s in times])
     assert exponent < 2.5, (case, dict(zip(SCALES, times)), exponent)
+
+
+def _chorded_cycle(n: int) -> Graph:
+    """The cycle on 0..n-1 with chords i ~ i+2: 4-regular and sparse."""
+    return Graph.from_edges(n, [(i, (i + k) % n) for i in range(n) for k in (1, 2)])
+
+
+def _fastest_degeneracy(g: Graph) -> float:
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = degeneracy(g)
+        best = min(best, time.perf_counter() - t0)
+        assert (res.degeneracy, len(res.elimination_order)) == (4, g.n)
+    return best
+
+
+def test_degeneracy_is_near_linear_in_size():
+    small, large = (_fastest_degeneracy(_chorded_cycle(n)) for n in (20_000, 80_000))
+    assert large / small < 8, (small, large)
