@@ -13,8 +13,8 @@ searches: a direct replay rebuilds the graph and checks the Hall
 obstruction on each gadget copy.  A bundle's manifest is compared with
 the manifest arithmetic first, so a bundle relabelled to another row is
 rejected without verifying that row.  Equal documents are accepted by
-a type-exact comparison that builds no strings; only on a mismatch does
-a second walk name the first differing path.  Nothing in the payload is
+a type-exact comparison of their `marshal` bytes; only on a mismatch
+does a walk name the first differing path.  Nothing in the payload is
 trusted beyond the row and the mode, and this module knows no field of
 these certificates beyond those.
 
@@ -28,6 +28,7 @@ JSON integers, not bools, strings or floats.
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass
 
 from .construction import (
@@ -168,16 +169,32 @@ def _check_construction(cert: dict, kind: str) -> CheckResult:
 def _same(fresh, given) -> bool:
     """Whether `given` equals the re-derived `fresh`, type for type at
     every node: dict keys compare as sets, so their order is free, and
-    lists must have equal lengths.  It recurses only as deep as `fresh`
-    goes."""
+    lists must have equal lengths.
+
+    Format 0 of `marshal` writes every value under a code for its exact
+    type (bool, int, str, list and dict each have one; subclasses are
+    refused) and no back-references, so equal bytes are equal documents,
+    keys in the same order; `fresh` holds no floats, whose bytes could
+    differ from `==`.  Keys in another order, a type `marshal` refuses
+    or nesting past its depth are left to `_same_walk`."""
+    try:
+        if marshal.dumps(fresh, 0) == marshal.dumps(given, 0):
+            return True
+    except ValueError:
+        pass
+    return _same_walk(fresh, given)
+
+
+def _same_walk(fresh, given) -> bool:
+    """`_same` node by node.  It recurses only as deep as `fresh` goes."""
     if type(fresh) is not type(given):
         return False
     if type(fresh) is dict:
         return fresh.keys() == given.keys() and all(
-            _same(v, given[k]) for k, v in fresh.items()
+            _same_walk(v, given[k]) for k, v in fresh.items()
         )
     if type(fresh) is list:
-        return len(fresh) == len(given) and all(map(_same, fresh, given))
+        return len(fresh) == len(given) and all(map(_same_walk, fresh, given))
     return fresh == given
 
 

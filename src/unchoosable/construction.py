@@ -31,8 +31,11 @@ use the q+1-r colors of [1,q+1] that c leaves free, fewer than there
 are of them.  Neither mode searches.  Compositional mode never builds
 the graph: the q!/(q-r)! repetition-free vectors are alike, so
 (1,...,r) stands for them all, and a vector with a repeated entry is
-blocked vacuously.  Direct mode checks the same test for every proper
-root coloring on the materialized graph and lists, and the degeneracy.
+blocked vacuously.  It reads the gadget from its classes, not its
+edges, so its gadget work is O(q + r): an independent set lies inside
+one class, and a clique meets each class at most once.  Direct mode
+checks the same test for every proper root coloring on the
+materialized graph and lists, and the degeneracy.
 
 This module is the one place that knows the construction-certificate
 format.  A certificate is accepted by running the verifier that wrote
@@ -43,6 +46,7 @@ recorded as a false field.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -54,7 +58,6 @@ from typing import Iterable, Sequence
 from .errors import ConstructionRefuted, InvalidArgumentError, ResourceLimitError
 from .graphs import VERTEX_CAP, Graph, complete_multipartite, degeneracy, neighbour_sets
 from .listcolor import ListAssignment
-from .minors import counting_bound
 
 CASES = ("a", "b", "c")
 
@@ -109,50 +112,65 @@ class GadgetTemplate:
     pairs holds the deleted matching (v_i, w_i) in pair order; its v_i
     are the root clique that every copy shares.  own holds the vertices
     a pasted copy adds, in the order `build` lays out their ids: the w_i
-    in pair order, then the apex in case c.
+    in pair order, then the apex in case c.  part_of maps each vertex to
+    its class of the complete multipartite gadget: pair i is class i,
+    the apex class r.  Two vertices are adjacent exactly when their
+    classes differ, so the verifier reads the gadget from part_of alone;
+    `graph`, its edges, is built only for `build` and for a
+    counting-bound certificate checked on the template.
 
     `gadget_template` hands the same template to every caller of a row,
-    so it is shared: nothing may mutate it, `nbrs` included.
+    so it is shared: nothing may mutate it, `graph` included.
     """
 
-    graph: Graph
     pairs: tuple[tuple[int, int], ...]
     own: tuple[int, ...]
+    part_of: tuple[int, ...]
 
-    @property
+    @cached_property
     def root_clique(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.pairs)
 
     @cached_property
-    def nbrs(self) -> list[set[int]]:
-        """The neighbour sets of `graph`, built once per template; read
-        them, never change them."""
-        return neighbour_sets(self.graph)
+    def graph(self) -> Graph:
+        """The gadget's edges, laid out as `complete_multipartite`
+        numbers its classes, built on first use."""
+        r = len(self.pairs)
+        return complete_multipartite([2] * r + [1] * (len(self.own) - r))
 
 
 @functools.lru_cache(maxsize=1)
 def gadget_template(params: ConstructionParams) -> GadgetTemplate:
-    """The gadget laid out as `complete_multipartite` numbers its
-    classes: pair i is (2i, 2i+1), and the apex of case c is 2r.
+    """The gadget laid out by arithmetic: pair i is (2i, 2i+1), in class
+    i, and the apex of case c is 2r, in class r.
 
     A pure function of the row, cached for the last row asked: a verify
     and the replay of its certificate ask for one row several times, and
-    build it once.  One slot bounds the memory, O(r^2) edges and their
-    neighbour sets.  The template is shared between calls and never
+    lay it out once.  The template is shared between calls and never
     mutated."""
     r = params.r
     apex = () if params.gadget_kind == "K_{rx2}" else (2 * r,)
-    g = complete_multipartite([2] * r + [1] * len(apex))
-    if g.n != params.q + 2:
+    n = 2 * r + len(apex)
+    if n != params.q + 2:
         raise InvalidArgumentError(
-            f"{params.gadget_kind} with r={r} has {g.n} vertices, "
+            f"{params.gadget_kind} with r={r} has {n} vertices, "
             f"the row needs q+2={params.q + 2}"
         )
-    pairs = tuple((2 * i, 2 * i + 1) for i in range(r))
-    tpl = GadgetTemplate(graph=g, pairs=pairs, own=tuple(range(1, 2 * r, 2)) + apex)
-    if not _pairwise_adjacent(tpl.nbrs, tpl.root_clique):
+    tpl = GadgetTemplate(
+        pairs=tuple((2 * i, 2 * i + 1) for i in range(r)),
+        own=tuple(range(1, 2 * r, 2)) + apex,
+        part_of=tuple(v // 2 for v in range(n)),
+    )
+    if not _distinct_classes(tpl.part_of, tpl.root_clique):
         raise ConstructionRefuted(f"gadget roots {tpl.root_clique} are not a clique")
     return tpl
+
+
+def _distinct_classes(part_of: Sequence[int], vertices: Sequence[int]) -> bool:
+    """Whether `vertices` are a clique of the complete multipartite graph
+    whose classes are `part_of`: no two of them share a class, so a
+    repeated vertex fails."""
+    return len({part_of[v] for v in vertices}) == len(vertices)
 
 
 def _pairwise_adjacent(nbrs: Sequence[set[int]], vertices: Iterable[int]) -> bool:
@@ -183,25 +201,16 @@ def gadget_lists(params: ConstructionParams, c: Sequence[int]) -> ListAssignment
     """Lists over the template: w_i avoids c_i within [1,q+1], every
     other vertex gets [1,q]."""
     vec = check_vector(params, c)
-    return ListAssignment.from_lists(
-        params.q + 1, _gadget_rows(params, gadget_template(params), vec)
-    )
+    tpl = gadget_template(params)
+    rows = [tuple(range(1, params.q + 1))] * len(tpl.part_of)
+    for (_, w), ci in zip(tpl.pairs, vec):
+        rows[w] = _w_list(params.q, ci)
+    return ListAssignment.from_lists(params.q + 1, rows)
 
 
 def _w_list(q: int, ci: int) -> tuple[int, ...]:
     """The list of w_i under a vector whose i-th entry is ci."""
     return tuple(x for x in range(1, q + 2) if x != ci)
-
-
-def _gadget_rows(
-    params: ConstructionParams, tpl: GadgetTemplate, vec: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """The rows of `gadget_lists` over a template already built, for a
-    vector already checked; sorted, in range, not validated again."""
-    rows = [tuple(range(1, params.q + 1))] * tpl.graph.n
-    for (_, w), ci in zip(tpl.pairs, vec):
-        rows[w] = _w_list(params.q, ci)
-    return rows
 
 
 def _hall_blocked(
@@ -219,24 +228,51 @@ def _hall_blocked(
     return _pairwise_adjacent(nbrs, clique) and len(free) < len(clique), free
 
 
+def _class_hall(
+    tpl: GadgetTemplate, q: int, vec: tuple[int, ...]
+) -> tuple[bool, set[int]]:
+    """`_hall_blocked` on the gadget copy for vec, read from the
+    template's classes in O(q + r) without its edges: the roots pinned
+    to vec, the clique `own`, the lists of `gadget_lists`.
+
+    A set is a clique when no two members share a class, and a member
+    keeps the colors of its list that no root outside its class holds.
+    Each list is one shared range less at most one color: [1,q+1] less
+    c_i for w_i, [1,q] for the apex.  Every color a list leaves out is
+    held by a root, so each color no root holds is kept up to the
+    longest range's end.  A held color is kept only by a member whose
+    class holds the one root holding it; the roots lie in distinct
+    classes, so that is the root of the member's class, and its color,
+    in [1,q], lies in every range."""
+    part_of = tpl.part_of
+    held = collections.Counter(vec)  # color -> roots pinned to it
+    root_color = {part_of[v]: x for v, x in zip(tpl.root_clique, vec)}
+    cut = {w: ci for (_, w), ci in zip(tpl.pairs, vec)}
+    free = set(range(1, q + 2 if cut else q + 1)) - held.keys()
+    for s in tpl.own:
+        y = root_color.get(part_of[s], 0)
+        if held[y] == 1 and y != cut.get(s):
+            free.add(y)
+    return _distinct_classes(part_of, tpl.own) and len(free) < len(tpl.own), free
+
+
 def gadget_blocked_detail(params: ConstructionParams, c: Sequence[int]) -> dict:
     """Decide whether the gadget copy for vector c shuts out the root
-    coloring c: the Hall test of `_hall_blocked` on the template, its
-    roots pinned to c and its clique the w_i (plus the apex in case c).
-    A vector repeating a color on the pairwise adjacent roots is
-    vacuously blocked, as status improper-root."""
+    coloring c: the Hall test of `_hall_blocked`, read from the
+    template's classes (`_class_hall`), its roots pinned to c and its
+    clique the w_i (plus the apex in case c).  A vector repeating a
+    color on the pairwise adjacent roots is vacuously blocked, as status
+    improper-root."""
     vec = check_vector(params, c)
     if not vector_is_proper(vec):
         return {"vector": list(vec), "status": "improper-root", "blocked": True}
     tpl = gadget_template(params)
-    clique = list(tpl.own)
-    lists, pinned = _gadget_rows(params, tpl, vec), dict(zip(tpl.root_clique, vec))
-    blocked, free = _hall_blocked(tpl.nbrs, lists, pinned, clique)
+    blocked, free = _class_hall(tpl, params.q, vec)
     return {
         "vector": list(vec),
         "status": "blocked" if blocked else "no-obstruction",
         "blocked": blocked,
-        "clique": clique,
+        "clique": list(tpl.own),
         "free_colors": sorted(free),
     }
 
@@ -354,18 +390,31 @@ def build(params: ConstructionParams) -> tuple[Graph, ListAssignment]:
 # --- verification -----------------------------------------------------------
 
 
+def _class_bound(part_of: Sequence[int], parts: Sequence[Sequence[int]]) -> int | None:
+    """`minors.counting_bound` on the complete multipartite graph whose
+    classes are `part_of`, read from the classes: floor((n+k)/2) when
+    the k `parts` cover the n vertices once, each part inside one class
+    (so independent), else None.  O(n log n), no edges."""
+    if sorted(v for part in parts for v in part) != list(range(len(part_of))):
+        return None
+    if not all(part and len({part_of[v] for v in part}) == 1 for part in parts):
+        return None
+    return (len(part_of) + len(parts)) // 2
+
+
 def verify_minor_free(params: ConstructionParams) -> dict:
     """Certify the pasted graph has no K_p minor, without a search.
 
     The gadget is certified by the counting bound over its matching
-    classes (plus the apex in case c), a `counting-bound` child checked
-    in O(n+m); the gluing set is a clique, and pasting minor-free graphs
-    on a clique stays minor-free.  Both modes emit this certificate.  A
-    hand-built row the bound does not settle (params_for makes none)
-    raises InvalidArgumentError naming the bound."""
+    classes (plus the apex in case c), a `counting-bound` child that
+    `_class_bound` checks against the template's classes; the gluing set
+    is a clique, and pasting minor-free graphs on a clique stays
+    minor-free.  Both modes emit this certificate.  A hand-built row the
+    bound does not settle (params_for makes none) raises
+    InvalidArgumentError naming the bound."""
     tpl = gadget_template(params)
     parts = [list(pair) for pair in tpl.pairs] + [[u] for u in tpl.own[params.r:]]
-    bound = counting_bound(tpl.graph, parts)
+    bound = _class_bound(tpl.part_of, parts)
     if bound is None or bound >= params.p:
         raise InvalidArgumentError(
             f"row {params.case}{params.t}: the counting bound {bound} of its "
@@ -388,7 +437,7 @@ def verify_minor_free(params: ConstructionParams) -> dict:
                 "case": params.case,
                 "t": params.t,
                 "target": params.p,
-                "n": tpl.graph.n,
+                "n": len(tpl.part_of),
                 "partition": parts,
             }
         ],

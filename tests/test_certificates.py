@@ -350,6 +350,33 @@ def test_every_single_field_edit_rejected(bundles, name):
     assert check_certificate(cert).ok  # the edits left the original alone
 
 
+def test_equal_documents_compare_type_for_type():
+    # equal values of other types, subclasses included, are not equal
+    # documents; reordered keys are; and a deep document is refused
+    # without recursing into it
+    import collections
+    import enum
+
+    from unchoosable.certificates import _same
+
+    class Text(str):
+        pass
+
+    Flag = enum.IntEnum("Flag", "ON")
+    fresh = {"n": 1, "kind": "x", "parts": [[0, 1]], "ok": True}
+    assert _same(fresh, {"ok": True, "parts": [[0, 1]], "kind": "x", "n": 1})
+    for key, value in [
+        ("n", True), ("n", 1.0), ("n", Flag.ON), ("kind", Text("x")),
+        ("parts", [(0, 1)]), ("parts", ((0, 1),)), ("ok", 1),
+    ]:
+        assert not _same(fresh, {**fresh, key: value}), (key, value)
+    assert not _same(fresh, collections.OrderedDict(fresh))
+    deep = [0]
+    for _ in range(10_000):
+        deep = [deep]
+    assert not _same(fresh, {**fresh, "parts": [deep]})
+
+
 def _reordered(doc):
     """`doc` with the keys of every object in reverse order."""
     if isinstance(doc, dict):

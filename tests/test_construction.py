@@ -35,7 +35,7 @@ from unchoosable import (
     verify_minor_free,
     verify_not_colorable,
 )
-from unchoosable import construction
+from unchoosable import certificates, construction, graphs, minors
 from unchoosable.graphs import neighbour_sets
 
 
@@ -89,6 +89,82 @@ def test_gadget_template_invariants():
         # the w_i, then in case c the apex
         apex = (2 * pp.r,) if case == "c" else ()
         assert tpl.own == tuple(range(1, 2 * pp.r, 2)) + apex
+
+
+def _partitions(tpl):
+    """The template's counting-bound partition and some that are not
+    partitions into independent sets, or not partitions at all."""
+    parts = [list(pair) for pair in tpl.pairs] + [[u] for u in tpl.own[len(tpl.pairs):]]
+    merged = [parts[0] + parts[-1]] + parts[1:-1]
+    split = [[v] for v in parts[0]] + parts[1:]
+    return [parts, merged, split, parts[1:], parts + [parts[0]], [[]] + parts]
+
+
+def _vectors(pp, seed):
+    rng = random.Random(seed)
+    proper = [tuple(rng.sample(range(1, pp.q + 1), pp.r)) for _ in range(4)]
+    return [tuple(range(1, pp.r + 1)), (1,) * pp.r, (1, 2) * (pp.r // 2) + (1,) * (pp.r % 2)] + proper
+
+
+def _class_facts(tpl, pp, seed):
+    """Bounds, clique tests, Hall verdicts and free colors read from the
+    classes, as the compositional verifier reads them."""
+    return (
+        [construction._class_bound(tpl.part_of, parts) for parts in _partitions(tpl)],
+        [construction._distinct_classes(tpl.part_of, s) for s in (tpl.root_clique, tpl.own)],
+        [construction._class_hall(tpl, pp.q, vec) for vec in _vectors(pp, seed)],
+    )
+
+
+def _edge_facts(tpl, graph, pp, seed):
+    """The same facts from `graph`'s edges and neighbour sets."""
+    nbrs = neighbour_sets(graph)
+    return (
+        [counting_bound(graph, parts) for parts in _partitions(tpl)],
+        [construction._pairwise_adjacent(nbrs, s) for s in (tpl.root_clique, tpl.own)],
+        [
+            construction._hall_blocked(
+                nbrs, gadget_lists(pp, vec).lists, dict(zip(tpl.root_clique, vec)), tpl.own
+            )
+            for vec in _vectors(pp, seed)
+        ],
+    )
+
+
+def _multipartite(part_of):
+    """The complete multipartite graph whose classes are `part_of`."""
+    pairs = itertools.combinations(range(len(part_of)), 2)
+    return Graph.from_edges(len(part_of), [(u, v) for u, v in pairs if part_of[u] != part_of[v]])
+
+
+def test_class_level_checks_equal_the_edge_level_ones():
+    rng = random.Random(21)
+    for case, t in itertools.product("abc", range(1, 13)):
+        pp = params_for(case, t)
+        tpl = gadget_template(pp)
+        assert _multipartite(tpl.part_of).edges == tpl.graph.edges
+        edges = _edge_facts(tpl, tpl.graph, pp, seed=t)
+        assert _class_facts(tpl, pp, seed=t) == edges, (case, t)
+        for vec in _vectors(pp, seed=t):
+            if construction.vector_is_proper(vec):
+                detail = gadget_blocked_detail(pp, vec)
+                blocked, free = construction._class_hall(tpl, pp.q, vec)
+                assert detail["blocked"] == blocked and detail["free_colors"] == sorted(free)
+        # other class maps, the roots kept in distinct classes and every
+        # other vertex put in a random one, agree with their own graphs
+        for _ in range(3):
+            part_of = list(tpl.part_of)
+            for s in tpl.own:
+                part_of[s] = rng.randrange(pp.r + 1)
+            other = dataclasses.replace(tpl, part_of=tuple(part_of))
+            assert _class_facts(other, pp, seed=t) == _edge_facts(
+                other, _multipartite(part_of), pp, seed=t
+            ), (case, t, part_of)
+        # a class map that is wrong about one vertex is caught: the apex
+        # (case c), or else the last w_i, put in pair 0's class
+        last = len(tpl.part_of) - 1
+        wrong = dataclasses.replace(tpl, part_of=tpl.part_of[:last] + (0,))
+        assert _class_facts(wrong, pp, seed=t) != edges, (case, t)
 
 
 def test_gadget_lists_formula():
@@ -390,8 +466,10 @@ def test_compositional_verify_and_check_run_no_solver():
 
 
 def test_verify_and_check_build_one_template(monkeypatch):
-    # the template is cached per row, so a verify and the replay of its
-    # certificate lay out the gadget once between them
+    # the template is cached per row and its edges are laid out only on
+    # demand: a compositional verify and the replay of its certificate
+    # read the classes and lay out no edges, a direct one lays them out
+    # once, for `build`
     real = construction.complete_multipartite
     calls = []
 
@@ -400,12 +478,12 @@ def test_verify_and_check_build_one_template(monkeypatch):
         return real(sizes)
 
     monkeypatch.setattr(construction, "complete_multipartite", counted)
-    for case, t, mode in [("a", 2, "compositional"), ("a", 1, "direct")]:
+    for case, t, mode, builds in [("a", 2, "compositional", 0), ("a", 1, "direct", 1)]:
         gadget_template.cache_clear()
         calls.clear()
         bundle = verify_construction(params_for(case, t), mode=mode)
         assert check_certificate(json.loads(json.dumps(bundle))).ok
-        assert len(calls) == 1, (case, t, mode, calls)
+        assert len(calls) == builds, (case, t, mode, calls)
 
 
 def test_template_cache_holds_one_row_and_stays_unchanged():
@@ -418,13 +496,29 @@ def test_template_cache_holds_one_row_and_stays_unchanged():
     tpl = gadget_template(params_for("b", 2))
     assert gadget_template.cache_info().hits == info.hits + 1
     # shared by every caller of the row, and none of them changed it
-    assert tpl.nbrs == neighbour_sets(tpl.graph)
+    assert tpl.part_of == tuple(v // 2 for v in range(len(tpl.part_of)))
+
+
+def test_compositional_verify_and_check_lay_out_no_edges(monkeypatch):
+    # the class-level checks stand alone: with every edge-level helper
+    # the construction could reach made to raise, compositional verify
+    # and check still pass on the largest rows of the table
+    def refuse(*args, **kwargs):
+        raise AssertionError("an edge-level helper was called")
+
+    for name in ("complete_multipartite", "neighbour_sets", "counting_bound"):
+        for module in (construction, graphs, minors, certificates):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for row in ("a100", "b100", "c100"):
+        gadget_template.cache_clear()
+        bundle = verify_construction(params_for(row[0], int(row[1:])))
+        res = check_certificate(json.loads(json.dumps(bundle)))
+        assert res.ok, (row, res.reason)
 
 
 def test_direct_verify_builds_the_graph_neighbour_sets_once(monkeypatch):
     # the Hall test and the degeneracy order share one set per vertex
-    from unchoosable import graphs
-
     sizes = []
 
     def counted(g):
@@ -442,17 +536,19 @@ def test_direct_verify_builds_the_graph_neighbour_sets_once(monkeypatch):
 
 def test_obstruction_blocks_every_row_up_to_t100():
     # the pairwise adjacent w_i (plus the apex in case c) keep q+1-r
-    # colors, one fewer than there are of them.  t <= 33 covers every
-    # p <= 100; then t = 100.  The gadget has O(t^2) edges, and every
-    # t <= 100 would take longer than the rest of the suite.
+    # colors, one fewer than there are of them.  t <= 100 covers every
+    # p <= 300, and each row verifies and replays.
     for case in "abc":
-        for t in [*range(1, 34), 100]:
+        for t in range(1, 101):
             pp = params_for(case, t)
             entry = gadget_blocked_detail(pp, range(1, pp.r + 1))
             size = pp.r + (case == "c")
             assert entry["status"] == "blocked" and entry["blocked"], (case, t)
             assert len(entry["clique"]) == size, (case, t)
             assert len(entry["free_colors"]) == pp.q + 1 - pp.r == size - 1, (case, t)
+            bundle = verify_construction(pp, mode="compositional")
+            res = check_certificate(json.loads(json.dumps(bundle)))
+            assert res.ok, (case, t, res.reason)
 
 
 def test_verify_minor_free_rejects_rows_the_bound_does_not_settle():

@@ -28,7 +28,7 @@ COMMANDS = {
     },
     **{
         f"verify-compositional-{row}.json": _verify("compositional", row)
-        for row in ("a2", "b3", "c3")
+        for row in ("a2", "b3", "c3", "a33", "c100")
     },
     "build-a1.g6": ["build", "--case", "a", "--t", "1", "--graph"],
     "build-a1-lists.json": ["build", "--case", "a", "--t", "1", "--lists"],

@@ -55,6 +55,7 @@ def test_verifier_runs_no_list_coloring_solver():
 
 def test_verifier_keeps_one_adjacency_representation():
     """The gadget's layout is arithmetic and its adjacency is read from
-    neighbour sets only: no bitmasks, no mask clique test, no labels."""
+    its classes or from neighbour sets: no bitmasks, no mask clique
+    test, no labels."""
     found = _uses(VERIFIER, {"adj", "is_clique", "labels", "matching_pairs"})
     assert not found, f"construction.py reaches a second adjacency: {found}"

@@ -1,13 +1,16 @@
 """Compositional verify plus check must grow polynomially in the scale
-t: it works on one gadget of q+2 = O(t) vertices and O(t^2) edges,
-never on the q^r copies.  Each row is timed with the template cache
-cleared, so the gadget is laid out afresh, and the fitted log-log
-exponent must stay below 2.5: on 2 vCPU and Python 3.11 it is about
-1.6 for every case over t = 8..32.
+t: it reads one gadget of q+2 = O(t) vertices from its classes, never
+its edges nor the q^r copies.  Each row is timed with the template
+cache cleared, so the gadget is laid out afresh, and the fitted log-log
+exponent must stay below 1.2: on 2 vCPU and Python 3.11 it is about 0.5
+for every case over t = 8..32, where laying out the gadget's edges made
+it about 1.6.
 
 Direct mode's degeneracy order must grow near-linearly in the graph's
 size: four times the vertices and edges may take at most eight times
-as long, a loose factor for a noisy machine (about 5 measured)."""
+as long, a loose factor for a noisy machine (about 5 measured).  The
+two sizes are timed in turn, so a slow stretch of the machine falls on
+both."""
 
 import json
 import math
@@ -55,7 +58,7 @@ def _slope(xs, ys) -> float:
 def test_compositional_verify_and_check_is_polynomial_in_t(case):
     times = [_verify_and_check(case, t) for t in SCALES]
     exponent = _slope([math.log(t) for t in SCALES], [math.log(s) for s in times])
-    assert exponent < 2.5, (case, dict(zip(SCALES, times)), exponent)
+    assert exponent < 1.2, (case, dict(zip(SCALES, times)), exponent)
 
 
 def _chorded_cycle(n: int) -> Graph:
@@ -63,16 +66,18 @@ def _chorded_cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + k) % n) for i in range(n) for k in (1, 2)])
 
 
-def _fastest_degeneracy(g: Graph) -> float:
-    best = math.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        res = degeneracy(g)
-        best = min(best, time.perf_counter() - t0)
-        assert (res.degeneracy, len(res.elimination_order)) == (4, g.n)
-    return best
+def _degeneracy_time(g: Graph) -> float:
+    t0 = time.perf_counter()
+    res = degeneracy(g)
+    elapsed = time.perf_counter() - t0
+    assert (res.degeneracy, len(res.elimination_order)) == (4, g.n)
+    return elapsed
 
 
 def test_degeneracy_is_near_linear_in_size():
-    small, large = (_fastest_degeneracy(_chorded_cycle(n)) for n in (20_000, 80_000))
-    assert large / small < 8, (small, large)
+    small, large = _chorded_cycle(20_000), _chorded_cycle(80_000)
+    best_small = best_large = math.inf
+    for _ in range(7):
+        best_small = min(best_small, _degeneracy_time(small))
+        best_large = min(best_large, _degeneracy_time(large))
+    assert best_large / best_small < 8, (best_small, best_large)
