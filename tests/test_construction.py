@@ -94,7 +94,8 @@ def test_gadget_template_invariants():
 def _partitions(tpl):
     """The template's counting-bound partition and some that are not
     partitions into independent sets, or not partitions at all."""
-    parts = [list(pair) for pair in tpl.pairs] + [[u] for u in tpl.own[len(tpl.pairs):]]
+    apex = tpl.own[len(tpl.pairs):]
+    parts = [list(pair) for pair in tpl.pairs] + [[u] for u in apex]
     merged = [parts[0] + parts[-1]] + parts[1:-1]
     split = [[v] for v in parts[0]] + parts[1:]
     return [parts, merged, split, parts[1:], parts + [parts[0]], [[]] + parts]
@@ -103,15 +104,22 @@ def _partitions(tpl):
 def _vectors(pp, seed):
     rng = random.Random(seed)
     proper = [tuple(rng.sample(range(1, pp.q + 1), pp.r)) for _ in range(4)]
-    return [tuple(range(1, pp.r + 1)), (1,) * pp.r, (1, 2) * (pp.r // 2) + (1,) * (pp.r % 2)] + proper
+    repeating = (1, 2) * (pp.r // 2) + (1,) * (pp.r % 2)
+    return [tuple(range(1, pp.r + 1)), (1,) * pp.r, repeating] + proper
 
 
 def _class_facts(tpl, pp, seed):
     """Bounds, clique tests, Hall verdicts and free colors read from the
     classes, as the compositional verifier reads them."""
     return (
-        [construction._class_bound(tpl.part_of, parts) for parts in _partitions(tpl)],
-        [construction._distinct_classes(tpl.part_of, s) for s in (tpl.root_clique, tpl.own)],
+        [
+            construction._class_bound(tpl.part_of, parts)
+            for parts in _partitions(tpl)
+        ],
+        [
+            construction._distinct_classes(tpl.part_of, s)
+            for s in (tpl.root_clique, tpl.own)
+        ],
         [construction._class_hall(tpl, pp.q, vec) for vec in _vectors(pp, seed)],
     )
 
@@ -121,10 +129,16 @@ def _edge_facts(tpl, graph, pp, seed):
     nbrs = neighbour_sets(graph)
     return (
         [counting_bound(graph, parts) for parts in _partitions(tpl)],
-        [construction._pairwise_adjacent(nbrs, s) for s in (tpl.root_clique, tpl.own)],
+        [
+            construction._pairwise_adjacent(nbrs, s)
+            for s in (tpl.root_clique, tpl.own)
+        ],
         [
             construction._hall_blocked(
-                nbrs, gadget_lists(pp, vec).lists, dict(zip(tpl.root_clique, vec)), tpl.own
+                nbrs,
+                gadget_lists(pp, vec).lists,
+                dict(zip(tpl.root_clique, vec)),
+                tpl.own,
             )
             for vec in _vectors(pp, seed)
         ],
@@ -134,7 +148,8 @@ def _edge_facts(tpl, graph, pp, seed):
 def _multipartite(part_of):
     """The complete multipartite graph whose classes are `part_of`."""
     pairs = itertools.combinations(range(len(part_of)), 2)
-    return Graph.from_edges(len(part_of), [(u, v) for u, v in pairs if part_of[u] != part_of[v]])
+    edges = [(u, v) for u, v in pairs if part_of[u] != part_of[v]]
+    return Graph.from_edges(len(part_of), edges)
 
 
 def test_class_level_checks_equal_the_edge_level_ones():
@@ -149,7 +164,8 @@ def test_class_level_checks_equal_the_edge_level_ones():
             if construction.vector_is_proper(vec):
                 detail = gadget_blocked_detail(pp, vec)
                 blocked, free = construction._class_hall(tpl, pp.q, vec)
-                assert detail["blocked"] == blocked and detail["free_colors"] == sorted(free)
+                assert detail["blocked"] == blocked
+                assert detail["free_colors"] == sorted(free)
         # other class maps, the roots kept in distinct classes and every
         # other vertex put in a random one, agree with their own graphs
         for _ in range(3):
@@ -478,7 +494,10 @@ def test_verify_and_check_build_one_template(monkeypatch):
         return real(sizes)
 
     monkeypatch.setattr(construction, "complete_multipartite", counted)
-    for case, t, mode, builds in [("a", 2, "compositional", 0), ("a", 1, "direct", 1)]:
+    for case, t, mode, builds in [
+        ("a", 2, "compositional", 0),
+        ("a", 1, "direct", 1),
+    ]:
         gadget_template.cache_clear()
         calls.clear()
         bundle = verify_construction(params_for(case, t), mode=mode)
