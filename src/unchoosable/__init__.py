@@ -21,8 +21,6 @@ from .graphs import (
     Graph,
     complete_multipartite,
     degeneracy,
-    k_1_r_times_2,
-    k_r_times_2,
     paste,
 )
 from .graphio import (
@@ -98,8 +96,6 @@ __all__ = [
     "gadget_template",
     "hadwiger_number",
     "has_clique_minor",
-    "k_1_r_times_2",
-    "k_r_times_2",
     "l_colorable",
     "lower_bound_table",
     "params_for",

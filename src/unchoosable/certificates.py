@@ -13,17 +13,20 @@ searches: a direct replay rebuilds the graph and checks the Hall
 obstruction on each gadget copy.  A bundle's manifest is compared with
 the manifest arithmetic first, so a bundle relabelled to another row is
 rejected without verifying that row.  Equal documents are accepted by
-a type-exact comparison of their `marshal` bytes; only on a mismatch
-does a walk name the first differing path.  Nothing in the payload is
+a type-exact comparison of their `marshal` bytes; otherwise one walk
+decides, and names the first differing path.  Nothing in the payload is
 trusted beyond the row and the mode, and this module knows no field of
 these certificates beyond those.
 
-Certificates about a graph given from outside (`branch-set-positive`
-witnesses and `counting-bound` certificates) are proof-checked: the
-branch sets must be disjoint, connected and pairwise adjacent, and the
-partition must split the vertices into independent sets whose count
-caps the clique minor below the target.  Counts and vertex ids must be
-JSON integers, not bools, strings or floats.
+`branch-set-positive` witnesses and `counting-bound` certificates are
+proof-checked: the branch sets must be disjoint, connected and pairwise
+adjacent, and the partition must split the vertices into independent
+sets whose count caps the clique minor below the target.  They talk
+about a graph given from outside, except a `counting-bound` with scope
+`gadget-template` given alone: its partition is checked against the
+classes of its row's gadget by the verifier's own `_class_bound`, so no
+gadget edges are laid out.  Counts and vertex ids must be JSON integers,
+not bools, strings or floats.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import marshal
 from dataclasses import dataclass
 
 from .construction import (
+    _class_bound,
     build_stats,
     gadget_template,
     params_for,
@@ -115,14 +119,19 @@ def _check_branch_sets(cert: dict, graph: Graph | None) -> CheckResult:
 
 
 def _check_counting_bound(cert: dict, graph: Graph | None) -> CheckResult:
+    """Proof-check the partition: on `graph` by its edges, or, for a
+    gadget-template certificate given without one, on the classes of
+    its row's template by the verifier's own `_class_bound`."""
     target = _int(cert, "target")
-    if graph is None and cert.get("scope") == "gadget-template":
-        graph = gadget_template(params_for(cert["case"], _int(cert, "t"))).graph
-    if graph is None:
+    if graph is not None:
+        n, bound = graph.n, counting_bound(graph, cert["partition"])
+    elif cert.get("scope") == "gadget-template":
+        part_of = gadget_template(params_for(cert["case"], _int(cert, "t"))).part_of
+        n, bound = len(part_of), _class_bound(part_of, cert["partition"])
+    else:
         return _fail("counting-bound certificate needs the graph")
-    if _int(cert, "n") != graph.n:
-        return _fail(f"certificate states n={cert['n']}, graph has {graph.n}")
-    bound = counting_bound(graph, cert["partition"])
+    if _int(cert, "n") != n:
+        return _fail(f"certificate states n={cert['n']}, graph has {n}")
     if bound is None:
         return _fail("partition is not a partition of V into independent sets")
     if bound >= target:
@@ -131,7 +140,7 @@ def _check_counting_bound(cert: dict, graph: Graph | None) -> CheckResult:
         )
     return CheckResult(
         True,
-        f"counted: no K_{target} minor, every clique minor on {graph.n} "
+        f"counted: no K_{target} minor, every clique minor on {n} "
         f"vertices has order at most {bound}",
     )
 
@@ -166,44 +175,23 @@ def _check_construction(cert: dict, kind: str) -> CheckResult:
     )
 
 
-def _same(fresh, given) -> bool:
-    """Whether `given` equals the re-derived `fresh`, type for type at
-    every node: dict keys compare as sets, so their order is free, and
-    lists must have equal lengths.
+def _difference(fresh, given, path: str = "") -> str | None:
+    """None when `given` equals the re-derived `fresh`, type for type at
+    every node, else the first differing path.
 
     Format 0 of `marshal` writes every value under a code for its exact
     type (bool, int, str, list and dict each have one; subclasses are
     refused) and no back-references, so equal bytes are equal documents,
     keys in the same order; `fresh` holds no floats, whose bytes could
-    differ from `==`.  Keys in another order, a type `marshal` refuses
-    or nesting past its depth are left to `_same_walk`."""
+    differ from `==`.  Otherwise, keys in another order, a type `marshal`
+    refuses or nesting past its depth, `_first_difference` walks the two
+    and also names the path."""
     try:
         if marshal.dumps(fresh, 0) == marshal.dumps(given, 0):
-            return True
+            return None
     except ValueError:
         pass
-    return _same_walk(fresh, given)
-
-
-def _same_walk(fresh, given) -> bool:
-    """`_same` node by node.  It recurses only as deep as `fresh` goes."""
-    if type(fresh) is not type(given):
-        return False
-    if type(fresh) is dict:
-        return fresh.keys() == given.keys() and all(
-            _same_walk(v, given[k]) for k, v in fresh.items()
-        )
-    if type(fresh) is list:
-        return len(fresh) == len(given) and all(map(_same_walk, fresh, given))
-    return fresh == given
-
-
-def _difference(fresh, given, path: str = "") -> str | None:
-    """None when `given` equals `fresh` (`_same`), else the reason: the
-    first differing path, which only a mismatch pays to name."""
-    if _same(fresh, given):
-        return None
-    return _first_difference(fresh, given, path) or f"{path or 'certificate'}: differs"
+    return _first_difference(fresh, given, path)
 
 
 def _show(value) -> str:

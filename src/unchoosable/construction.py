@@ -31,11 +31,14 @@ use the q+1-r colors of [1,q+1] that c leaves free, fewer than there
 are of them.  Neither mode searches.  Compositional mode never builds
 the graph: the q!/(q-r)! repetition-free vectors are alike, so
 (1,...,r) stands for them all, and a vector with a repeated entry is
-blocked vacuously.  It reads the gadget from its classes, not its
-edges, so its gadget work is O(q + r): an independent set lies inside
+blocked vacuously.  The gadget is kept only as its class map
+(`GadgetTemplate.part_of`), never as edges: two vertices are adjacent
+exactly when their classes differ.  Compositional mode reads the
+classes, so its gadget work is O(q + r): an independent set lies inside
 one class, and a clique meets each class at most once.  Direct mode
-checks the same test for every proper root coloring on the
-materialized graph and lists, and the degeneracy.
+lays each copy's edges out from the classes (`build`), then checks the
+same test for every proper root coloring on the materialized graph and
+lists, and the degeneracy.
 
 This module is the one place that knows the construction-certificate
 format.  A certificate is accepted by running the verifier that wrote
@@ -56,7 +59,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ConstructionRefuted, InvalidArgumentError, ResourceLimitError
-from .graphs import VERTEX_CAP, Graph, complete_multipartite, degeneracy, neighbour_sets
+from .graphs import VERTEX_CAP, Graph, degeneracy, neighbour_sets
 from .listcolor import ListAssignment
 
 CASES = ("a", "b", "c")
@@ -115,12 +118,12 @@ class GadgetTemplate:
     in pair order, then the apex in case c.  part_of maps each vertex to
     its class of the complete multipartite gadget: pair i is class i,
     the apex class r.  Two vertices are adjacent exactly when their
-    classes differ, so the verifier reads the gadget from part_of alone;
-    `graph`, its edges, is built only for `build` and for a
-    counting-bound certificate checked on the template.
+    classes differ, so part_of is the whole gadget: the verifier, the
+    certificate check and `build` all read it, and no edge list of the
+    gadget is kept.
 
     `gadget_template` hands the same template to every caller of a row,
-    so it is shared: nothing may mutate it, `graph` included.
+    so it is shared: nothing may mutate it.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -130,13 +133,6 @@ class GadgetTemplate:
     @cached_property
     def root_clique(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.pairs)
-
-    @cached_property
-    def graph(self) -> Graph:
-        """The gadget's edges, laid out as `complete_multipartite`
-        numbers its classes, built on first use."""
-        r = len(self.pairs)
-        return complete_multipartite([2] * r + [1] * (len(self.own) - r))
 
 
 @functools.lru_cache(maxsize=1)
@@ -353,10 +349,12 @@ def build(params: ConstructionParams) -> tuple[Graph, ListAssignment]:
     q, r = params.q, params.r
     tpl = gadget_template(params)
     size = len(tpl.own)
-    # the template's edges by their ids in copy 0, sorted; copy k adds
-    # k*size to every id from r on
-    at = {u: i for i, u in enumerate(tpl.root_clique + tpl.own)}
-    local = sorted(tuple(sorted((at[u], at[v]))) for u, v in tpl.graph.edges)
+    # copy 0's edges, sorted: positions a < b of root_clique + own are
+    # adjacent exactly when their classes differ; copy k adds k*size to
+    # every id from r on
+    cls = [tpl.part_of[u] for u in tpl.root_clique + tpl.own]
+    pairs = itertools.combinations(range(len(cls)), 2)
+    local = [(a, b) for a, b in pairs if cls[a] != cls[b]]
     shifts = range(0, stats.n_gadgets * size, size)
     # emitted in lexicographic order, so normalized as from_edges keeps
     # them: root i's clique edges, then its edges into each copy in copy
@@ -394,8 +392,10 @@ def _class_bound(part_of: Sequence[int], parts: Sequence[Sequence[int]]) -> int 
     """`minors.counting_bound` on the complete multipartite graph whose
     classes are `part_of`, read from the classes: floor((n+k)/2) when
     the k `parts` cover the n vertices once, each part inside one class
-    (so independent), else None.  O(n log n), no edges."""
-    if sorted(v for part in parts for v in part) != list(range(len(part_of))):
+    (so independent), else None.  As there, every vertex id must be an
+    int, not a bool, string or float.  O(n log n), no edges."""
+    ids = [v for part in parts for v in part]
+    if any(type(v) is not int for v in ids) or sorted(ids) != list(range(len(part_of))):
         return None
     if not all(part and len({part_of[v] for v in part}) == 1 for part in parts):
         return None

@@ -1,4 +1,4 @@
-"""Immutable simple graphs, complete multipartite constructors, clique
+"""Immutable simple graphs, the complete multipartite constructor, clique
 pasting, degeneracy orderings, and the walks over vertex masks.
 
 Vertices are dense 0-based ids.  Edges are stored normalized (u < v,
@@ -12,6 +12,7 @@ solver and the branch-set witness check walk such masks only through
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -112,22 +113,6 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj[v]))
-
-    def is_clique(self, vertices: Sequence[int]) -> bool:
-        """True iff `vertices` are distinct and pairwise adjacent."""
-        vs = list(vertices)
-        s = sum(1 << v for v in set(vs))  # a repeat makes len(vs) exceed its bits
-        adj = self.adj
-        return len(vs) == s.bit_count() and all((adj[v] | 1 << v) & s == s for v in vs)
-
     def check_vertices(self, vertices: Sequence[int]) -> tuple[int, ...]:
         """Validate a duplicate-free vertex set; returns it as given."""
         vs = tuple(vertices)
@@ -172,28 +157,6 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     return Graph(n=n, edges=edges)
 
 
-def _matched_multipartite(r: int, singletons: int) -> Graph:
-    """r classes of size 2, the pair (2i, 2i+1), then `singletons`
-    classes of size 1."""
-    if r <= 0:
-        raise InvalidArgumentError(f"r must be positive, got {r}")
-    return complete_multipartite([2] * r + [1] * singletons)
-
-
-def k_r_times_2(r: int) -> Graph:
-    """K_{2r} minus a perfect matching: r classes of size 2.
-
-    The matched pair of class i is (2i, 2i+1).
-    """
-    return _matched_multipartite(r, 0)
-
-
-def k_1_r_times_2(r: int) -> Graph:
-    """K_{2r+1} minus a near-perfect matching: r classes of size 2 plus a
-    singleton class (vertex 2r)."""
-    return _matched_multipartite(r, 1)
-
-
 def paste(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequence[int]) -> Graph:
     """Identify the clique `s1` of g1 with the clique `s2` of g2 pairwise:
     s1[i] is identified with s2[i].
@@ -206,9 +169,12 @@ def paste(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequence[int]) -> Graph:
     s2 = g2.check_vertices(s2)
     if len(s1) != len(s2):
         raise InvalidArgumentError(f"clique sizes differ: {len(s1)} vs {len(s2)}")
-    if not g1.is_clique(s1):
+    # s1 and s2 are duplicate-free, so each is a clique when every pair of
+    # it, sorted as the stored edges are, is an edge
+    edges = set(g1.edges)
+    if not edges.issuperset(itertools.combinations(sorted(s1), 2)):
         raise PreconditionError(f"{s1} is not a clique in the first graph")
-    if not g2.is_clique(s2):
+    if not set(g2.edges).issuperset(itertools.combinations(sorted(s2), 2)):
         raise PreconditionError(f"{s2} is not a clique in the second graph")
 
     relabel = dict(zip(s2, s1))
@@ -218,7 +184,6 @@ def paste(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequence[int]) -> Graph:
             relabel[v] = fresh
             fresh += 1
 
-    edges = set(g1.edges)
     for u, v in g2.edges:
         a, b = relabel[u], relabel[v]
         edges.add((a, b) if a < b else (b, a))  # identification cannot create

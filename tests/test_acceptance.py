@@ -17,13 +17,12 @@ from unchoosable import (
     build,
     build_stats,
     check_certificate,
+    complete_multipartite,
     gadget_blocked_detail,
     gadget_lists,
     gadget_template,
     hadwiger_number,
     has_clique_minor,
-    k_1_r_times_2,
-    k_r_times_2,
     l_colorable,
     lower_bound_table,
     params_for,
@@ -236,7 +235,12 @@ def test_criterion_7iii_pasting_preserves_minor_freeness():
 
 
 def _random_clique(rng, g, k):
-    cands = [c for c in itertools.combinations(range(g.n), k) if g.is_clique(c)]
+    edges = set(g.edges)
+    cands = [
+        c
+        for c in itertools.combinations(range(g.n), k)
+        if edges.issuperset(itertools.combinations(c, 2))
+    ]
     return rng.choice(cands) if cands else None
 
 
@@ -244,8 +248,8 @@ def test_criterion_7iv_minus_matching_exhaustive():
     def body():
         for r in range(1, 5):
             bound = (3 * r) // 2
-            assert hadwiger_number(k_r_times_2(r)) == bound
-            assert hadwiger_number(k_1_r_times_2(r)) == bound + 1
+            assert hadwiger_number(complete_multipartite([2] * r)) == bound
+            assert hadwiger_number(complete_multipartite([2] * r + [1])) == bound + 1
 
     _report(7, "(iv) doubled-class gadget hadwiger numbers for r in [1,4]", body)
 
@@ -260,10 +264,11 @@ def test_criterion_7v_symmetry_soundness():
             assert gadget_blocked_detail(pp, rep)["status"] == "blocked"
             assert gadget_blocked_detail(pp, member)["status"] == "blocked"
             tpl = gadget_template(pp)
+            gadget = complete_multipartite([2] * pp.r + [1] * (len(tpl.own) - pp.r))
             for vec in (rep, member):
                 pin = {v: ci for (v, _), ci in zip(tpl.pairs, vec)}
                 la = gadget_lists(pp, vec)
-                assert not l_colorable(tpl.graph, la, precoloring=pin).colorable
+                assert not l_colorable(gadget, la, precoloring=pin).colorable
 
     _report(
         7,

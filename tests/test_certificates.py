@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from unchoosable import (
     Graph,
     check_certificate,
-    gadget_template,
+    complete_multipartite,
     has_clique_minor,
     params_for,
     verify_construction,
@@ -206,9 +206,29 @@ def test_gadget_child_checks_standalone(bundles):
     child = roundtrip(bundles["a1"]["children"][0]["children"][0])
     assert child["kind"] == "counting-bound"
     assert child["partition"] == [[0, 1], [2, 3], [4, 5]]
-    assert check_certificate(child).ok  # rebuilds the gadget from case/t
-    octahedron = gadget_template(params_for("a", 1)).graph
+    assert check_certificate(child).ok  # reads the gadget's classes from case/t
+    octahedron = complete_multipartite([2] * 3)
     assert check_certificate(child, octahedron).ok
+
+
+@pytest.mark.parametrize("row", ["a2", "b3", "c1", "c3"])
+def test_gadget_child_in_another_order_accepted(row):
+    # the template-scope child is proof-checked, not replayed: the same
+    # partition in another order is as good a proof
+    pp = params_for(row[0], int(row[1:]))
+    child = roundtrip(verify_minor_free(pp)["children"][0])
+    assert check_certificate(child).ok
+    pairs = [part for part in child["partition"] if len(part) == 2]
+    apex = [part for part in child["partition"] if len(part) == 1]
+    assert len(pairs) == pp.r and len(apex) == (row[0] == "c")
+    orders = [
+        pairs[::-1] + apex,  # parts reversed
+        [part[::-1] for part in pairs] + apex,  # pair members swapped
+        apex + [part[::-1] for part in pairs[::-1]],  # apex first, all of it
+    ]
+    for partition in orders:
+        res = check_certificate({**child, "partition": partition})
+        assert res.ok, (row, partition, res.reason)
 
 
 def _on_parts(edit):
@@ -357,24 +377,26 @@ def test_equal_documents_compare_type_for_type():
     import collections
     import enum
 
-    from unchoosable.certificates import _same
+    from unchoosable.certificates import _difference
 
     class Text(str):
         pass
 
     Flag = enum.IntEnum("Flag", "ON")
     fresh = {"n": 1, "kind": "x", "parts": [[0, 1]], "ok": True}
-    assert _same(fresh, {"ok": True, "parts": [[0, 1]], "kind": "x", "n": 1})
+    assert _difference(fresh, dict(fresh)) is None
+    reordered = {"ok": True, "parts": [[0, 1]], "kind": "x", "n": 1}
+    assert _difference(fresh, reordered) is None
     for key, value in [
         ("n", True), ("n", 1.0), ("n", Flag.ON), ("kind", Text("x")),
         ("parts", [(0, 1)]), ("parts", ((0, 1),)), ("ok", 1),
     ]:
-        assert not _same(fresh, {**fresh, key: value}), (key, value)
-    assert not _same(fresh, collections.OrderedDict(fresh))
+        assert _difference(fresh, {**fresh, key: value}) is not None, (key, value)
+    assert _difference(fresh, collections.OrderedDict(fresh)) is not None
     deep = [0]
     for _ in range(10_000):
         deep = [deep]
-    assert not _same(fresh, {**fresh, "parts": [deep]})
+    assert _difference(fresh, {**fresh, "parts": [deep]}) is not None
 
 
 def _reordered(doc):

@@ -19,7 +19,7 @@ from unchoosable import (
     ResourceLimitError,
     check_certificate,
     check_coloring,
-    gadget_template,
+    complete_multipartite,
     params_for,
     read_adjacency_json,
     read_graph,
@@ -115,9 +115,7 @@ def test_verify_compositional_covers_every_class(capsys):
 
 def test_minor_exit_codes(tmp_path, capsys):
     gp = tmp_path / "oct.g6"
-    from unchoosable import k_r_times_2
-
-    write_graph(k_r_times_2(3), str(gp))
+    write_graph(complete_multipartite([2] * 3), str(gp))
     code, out, _ = run(["minor", "--input", str(gp), "--target", "5"], capsys)
     assert code == 1 and "no K_5 minor" in out
     code, out, _ = run(["minor", "--input", str(gp), "--target", "4"], capsys)
@@ -712,7 +710,7 @@ def test_direct_b2_verify_and_check_run_no_search():
 
 def test_minor_timeout_exits_3(tmp_path, capsys):
     gp = tmp_path / "b5.g6"
-    write_graph(gadget_template(params_for("b", 5)).graph, str(gp))
+    write_graph(complete_multipartite([2] * params_for("b", 5).r), str(gp))
     t0 = time.monotonic()
     code, _, err = run(
         ["minor", "--input", str(gp), "--target", "16", "--timeout", "0.5"], capsys

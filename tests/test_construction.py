@@ -19,6 +19,7 @@ from unchoosable import (
     check_certificate,
     check_witness,
     color_pattern_classes,
+    complete_multipartite,
     counting_bound,
     gadget_blocked_detail,
     gadget_lists,
@@ -78,9 +79,10 @@ def test_gadget_template_invariants():
     for case, t in itertools.product("abc", range(1, 13)):
         pp = params_for(case, t)
         tpl = gadget_template(pp)
-        g = nx.Graph(tpl.graph.edges)
-        g.add_nodes_from(range(tpl.graph.n))
-        assert tpl.graph.n == pp.q + 2
+        gadget = _multipartite(tpl.part_of)
+        g = nx.Graph(gadget.edges)
+        g.add_nodes_from(range(gadget.n))
+        assert gadget.n == pp.q + 2
         # the only non-edges are the deleted matching, so the roots are
         # a clique and in case c the apex meets every other vertex
         missing = {tuple(sorted(e)) for e in nx.complement(g).edges}
@@ -152,13 +154,20 @@ def _multipartite(part_of):
     return Graph.from_edges(len(part_of), edges)
 
 
+def _gadget(pp):
+    """The row's gadget as the paper lays it out: K_{r x 2}, or
+    K_{1, r x 2} in case c, pair i being (2i, 2i+1)."""
+    return complete_multipartite([2] * pp.r + [1] * (pp.gadget_kind == "K_{1,rx2}"))
+
+
 def test_class_level_checks_equal_the_edge_level_ones():
     rng = random.Random(21)
     for case, t in itertools.product("abc", range(1, 13)):
         pp = params_for(case, t)
         tpl = gadget_template(pp)
-        assert _multipartite(tpl.part_of).edges == tpl.graph.edges
-        edges = _edge_facts(tpl, tpl.graph, pp, seed=t)
+        gadget = _gadget(pp)
+        assert _multipartite(tpl.part_of).edges == gadget.edges
+        edges = _edge_facts(tpl, gadget, pp, seed=t)
         assert _class_facts(tpl, pp, seed=t) == edges, (case, t)
         for vec in _vectors(pp, seed=t):
             if construction.vector_is_proper(vec):
@@ -240,7 +249,7 @@ def test_gadget_open_to_other_root_colorings():
     tpl = gadget_template(pp)
     la = gadget_lists(pp, (1, 2, 3))
     other = {v: ci for (v, _), ci in zip(tpl.pairs, (2, 1, 3))}
-    assert l_colorable(tpl.graph, la, precoloring=other).colorable
+    assert l_colorable(_gadget(pp), la, precoloring=other).colorable
 
 
 def solver_blocks(pp, vec, timeout=None) -> bool:
@@ -248,7 +257,7 @@ def solver_blocks(pp, vec, timeout=None) -> bool:
     tpl = gadget_template(pp)
     pin = {v: ci for (v, _), ci in zip(tpl.pairs, vec)}
     la = gadget_lists(pp, vec)
-    return not l_colorable(tpl.graph, la, precoloring=pin, timeout=timeout).colorable
+    return not l_colorable(_gadget(pp), la, precoloring=pin, timeout=timeout).colorable
 
 
 def test_every_vector_blocked_at_t1():
@@ -348,8 +357,9 @@ def test_manifest_fields():
 def test_build_layout_and_lists():
     pp = params_for("b", 1)
     g, la = build(pp)
+    edges = set(g.edges)
     q, r = pp.q, pp.r
-    assert g.is_clique(tuple(range(r)))
+    assert edges.issuperset(itertools.combinations(range(r), 2))
     for v in range(r):
         assert la.lists[v] == tuple(range(1, q + 1))
     for k, vec in enumerate(itertools.product(range(1, q + 1), repeat=r)):
@@ -360,21 +370,22 @@ def test_build_layout_and_lists():
             assert la.lists[w] == expected
             # w_i sees every root but its own partner
             for j in range(r):
-                assert g.has_edge(w, j) == (j != i)
+                assert ((j, w) in edges) == (j != i)
 
 
 def test_build_case_c_extra_vertex():
     pp = params_for("c", 2)  # r=3, q=5, 125 copies of a 7-vertex gadget
     g, la = build(pp)
+    edges = set(g.edges)
     q, r = pp.q, pp.r
     for k in range(3):
         base = r + k * (q + 2 - r)
         u = base + r
         assert la.lists[u] == tuple(range(1, q + 1))
         for j in range(r):
-            assert g.has_edge(u, j)
+            assert (j, u) in edges
         for i in range(r):
-            assert g.has_edge(u, base + i)
+            assert (base + i, u) in edges
 
 
 def test_build_equals_folded_pasting():
@@ -389,7 +400,7 @@ def test_build_equals_folded_pasting():
         )
         roots = tuple(range(r))
         for _ in range(pp.q**pp.r):
-            folded = paste(folded, roots, tpl.graph, tpl.root_clique)
+            folded = paste(folded, roots, _gadget(pp), tpl.root_clique)
         g, _ = build(pp)
         assert (folded.n, folded.edges) == (g.n, g.edges)
 
@@ -445,8 +456,7 @@ def test_counting_bound_lands_one_below_p(case):
         pp = params_for(case, t)
         child = verify_minor_free(pp)["children"][0]
         assert child["kind"] == "counting-bound"
-        g = gadget_template(pp).graph
-        assert counting_bound(g, child["partition"]) == pp.p - 1
+        assert counting_bound(_gadget(pp), child["partition"]) == pp.p - 1
         assert check_certificate(child).ok
 
 
@@ -460,7 +470,7 @@ def test_exhaustive_search_agrees_with_counting_bound(row):
     pp = params_for(row[0], int(row[1:]))
     child = verify_minor_free(pp)["children"][0]
     assert child["kind"] == "counting-bound" and child["target"] == pp.p
-    g = gadget_template(pp).graph
+    g = _gadget(pp)
     assert g.n <= 12
     assert not has_clique_minor(g, pp.p).contains
     assert has_clique_minor(g, pp.p - 1).contains  # the bound is tight
@@ -481,28 +491,15 @@ def test_compositional_verify_and_check_run_no_solver():
         assert res.ok, (case, t, res.reason)
 
 
-def test_verify_and_check_build_one_template(monkeypatch):
-    # the template is cached per row and its edges are laid out only on
-    # demand: a compositional verify and the replay of its certificate
-    # read the classes and lay out no edges, a direct one lays them out
-    # once, for `build`
-    real = construction.complete_multipartite
-    calls = []
-
-    def counted(sizes):
-        calls.append(tuple(sizes))
-        return real(sizes)
-
-    monkeypatch.setattr(construction, "complete_multipartite", counted)
-    for case, t, mode, builds in [
-        ("a", 2, "compositional", 0),
-        ("a", 1, "direct", 1),
-    ]:
+def test_verify_and_check_build_one_template():
+    # the template is cached per row: a verify and the replay of its
+    # certificate lay the row's gadget out once, in either mode, and
+    # `build` reads the same template
+    for case, t, mode in [("a", 2, "compositional"), ("a", 1, "direct")]:
         gadget_template.cache_clear()
-        calls.clear()
         bundle = verify_construction(params_for(case, t), mode=mode)
         assert check_certificate(json.loads(json.dumps(bundle))).ok
-        assert len(calls) == builds, (case, t, mode, calls)
+        assert gadget_template.cache_info().misses == 1, (case, t, mode)
 
 
 def test_template_cache_holds_one_row_and_stays_unchanged():
@@ -519,7 +516,8 @@ def test_template_cache_holds_one_row_and_stays_unchanged():
 def test_compositional_verify_and_check_lay_out_no_edges(monkeypatch):
     # the class-level checks stand alone: with every edge-level helper
     # the construction could reach made to raise, compositional verify
-    # and check still pass on the largest rows of the table
+    # and check still pass on the largest rows of the table, and so does
+    # the check of the gadget's counting-bound child given alone
     def refuse(*args, **kwargs):
         raise AssertionError("an edge-level helper was called")
 
@@ -527,10 +525,16 @@ def test_compositional_verify_and_check_lay_out_no_edges(monkeypatch):
         for module in (construction, graphs, minors, certificates):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    for row in ("a100", "b100", "c100"):
+    for row in ("a100", "b100", "c100", "a600"):
         gadget_template.cache_clear()
-        bundle = verify_construction(params_for(row[0], int(row[1:])))
-        res = check_certificate(json.loads(json.dumps(bundle)))
+        pp = params_for(row[0], int(row[1:]))
+        bundle = json.loads(json.dumps(verify_construction(pp)))
+        res = check_certificate(bundle)
+        assert res.ok, (row, res.reason)
+        child = bundle["children"][0]["children"][0]
+        assert child["scope"] == "gadget-template"
+        gadget_template.cache_clear()
+        res = check_certificate(child)
         assert res.ok, (row, res.reason)
 
 
@@ -573,7 +577,7 @@ def test_verify_minor_free_rejects_rows_the_bound_does_not_settle():
     with pytest.raises(InvalidArgumentError, match="counting bound 3"):
         verify_minor_free(bogus)
     # the row is rightly refused: its gadget does contain the minor
-    g = gadget_template(bogus).graph
+    g = _multipartite(gadget_template(bogus).part_of)
     ans = has_clique_minor(g, bogus.p)
     assert ans.contains and check_witness(g, ans.witness)
 
@@ -745,8 +749,7 @@ def test_minus_matching_drives_the_table():
     # construction cannot be improved by a lazier gadget search
     for case, t in [("a", 1), ("b", 1), ("c", 1), ("b", 2)]:
         pp = params_for(case, t)
-        tpl = gadget_template(pp)
-        assert hadwiger_number(tpl.graph) == pp.p - 1
+        assert hadwiger_number(_gadget(pp)) == pp.p - 1
 
 
 def test_symmetry_soundness_sampled():

@@ -10,13 +10,11 @@ from unchoosable import (
     build,
     complete_multipartite,
     degeneracy,
-    k_1_r_times_2,
-    k_r_times_2,
     params_for,
     paste,
 )
 
-from unchoosable.graphs import components, reaches_all, union_over
+from unchoosable.graphs import components, neighbour_sets, reaches_all, union_over
 
 from conftest import oracle_degeneracy, random_graph
 
@@ -38,20 +36,11 @@ def test_from_edges_rejects_bad_input():
 
 def test_adjacency_and_degrees():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert g.degree(0) == 3
-    assert g.degree(2) == 1
-    assert g.neighbors(0) == (1, 2, 3)
-    assert g.has_edge(0, 2) and not g.has_edge(1, 2)
-
-
-def test_is_clique():
-    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert g.is_clique((0, 1, 2))
-    assert not g.is_clique((0, 1, 3))
-    assert g.is_clique((3,))
-    assert g.is_clique(())
-    assert not g.is_clique((0, 1, 0))  # a repeated vertex is no clique
-    assert not g.is_clique((3, 3))
+    nbrs = neighbour_sets(g)
+    assert [len(row) for row in nbrs] == [3, 1, 1, 1]
+    assert nbrs[0] == {1, 2, 3}
+    assert 2 in nbrs[0] and 2 not in nbrs[1]
+    assert g.adj == (0b1110, 0b1, 0b1, 0b1)
 
 
 def test_complete_multipartite_octahedron():
@@ -59,7 +48,7 @@ def test_complete_multipartite_octahedron():
     assert g.n == 6 and g.m == 12
     # classes are consecutive id pairs, non-adjacent inside
     for a in (0, 2, 4):
-        assert not g.has_edge(a, a + 1)
+        assert (a, a + 1) not in g.edges
 
 
 def test_complete_multipartite_rejects_empty_part():
@@ -68,26 +57,25 @@ def test_complete_multipartite_rejects_empty_part():
 
 
 def test_k_r_times_2_matching_labels():
-    g = k_r_times_2(3)
+    # K_{3x2}: the matched pair of class i is (2i, 2i+1)
+    g = complete_multipartite([2] * 3)
     assert g.n == 6 and g.m == 12
     pairs = ((0, 1), (2, 3), (4, 5))
-    for v, w in pairs:
-        assert not g.has_edge(v, w)
-    assert g.is_clique([v for v, _ in pairs])
-    assert g.is_clique([w for _, w in pairs])
+    assert set(pairs).isdisjoint(g.edges)
+    assert {(0, 2), (0, 4), (2, 4)} <= set(g.edges)  # the v_i are a clique
+    assert {(1, 3), (1, 5), (3, 5)} <= set(g.edges)  # so are the w_i
 
 
 def test_k_1_r_times_2_extra_vertex_dominates():
-    g = k_1_r_times_2(2)
+    # K_{1,2x2}: the apex, vertex 4, meets every other vertex
+    g = complete_multipartite([2] * 2 + [1])
     assert g.n == 5 and g.m == 8
-    u = 4
-    assert g.degree(u) == 4
-    for v, w in ((0, 1), (2, 3)):
-        assert not g.has_edge(v, w)
+    assert neighbour_sets(g)[4] == {0, 1, 2, 3}
+    assert {(0, 1), (2, 3)}.isdisjoint(g.edges)
 
 
 def test_k_r_times_2_r1_is_empty_pair():
-    g = k_r_times_2(1)
+    g = complete_multipartite([2])
     assert g.n == 2 and g.m == 0
 
 
@@ -96,14 +84,14 @@ def test_paste_positional_identification():
     g = paste(tri, (0, 1), tri, (2, 0))
     # second triangle keeps vertex 1, its 2 and 0 become 0 and 1
     assert g.n == 4
-    assert g.has_edge(0, 3) and g.has_edge(1, 3)
+    assert {(0, 3), (1, 3)} <= set(g.edges)
     assert g.m == 5
 
 
 def test_paste_example_counts():
     # triangles land entirely on the clique; the second octahedron adds
     # its three non-root vertices and nine fresh edges
-    oct_ = k_r_times_2(3)
+    oct_ = complete_multipartite([2] * 3)
     tri = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     g = paste(oct_, (0, 2, 4), tri, (0, 1, 2))
     assert (g.n, g.m) == (6, 12)
@@ -115,10 +103,32 @@ def test_paste_example_counts():
 def test_paste_requires_cliques():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     tri = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="first graph"):
         paste(path, (0, 2), tri, (0, 1))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="second graph"):
         paste(tri, (0, 1), path, (0, 2))
+    # a triangle with a pendant vertex: its cliques paste on either side,
+    # in any order, and a set with a non-edge does not
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    k4 = complete_multipartite([1] * 4)
+    for clique in [(0, 1, 2), (2, 1, 0), (3,), (), (3, 2)]:
+        k = len(clique)
+        other = tuple(range(k))
+        for h in (paste(g, clique, k4, other), paste(k4, other, g, clique)):
+            assert (h.n, h.m) == (8 - k, 10 - k * (k - 1) // 2), clique
+    for bad in [(0, 1, 3), (1, 3), (3, 0, 2)]:
+        other = tuple(range(len(bad)))
+        with pytest.raises(PreconditionError, match="not a clique in the first"):
+            paste(g, bad, k4, other)
+        with pytest.raises(PreconditionError, match="not a clique in the second"):
+            paste(k4, other, g, bad)
+    # a repeated vertex is no clique: refused before the clique test
+    for bad in [(0, 1, 0), (3, 3)]:
+        other = tuple(range(len(bad)))
+        with pytest.raises(InvalidArgumentError, match="duplicate"):
+            paste(g, bad, k4, other)
+        with pytest.raises(InvalidArgumentError, match="duplicate"):
+            paste(k4, other, g, bad)
 
 
 def test_paste_rejects_mismatched_sets():
@@ -141,13 +151,14 @@ def test_degeneracy_known_values():
 
 def test_degeneracy_elimination_order_property():
     # along the elimination order, each vertex sees at most d later ones
-    g = k_1_r_times_2(3)
+    g = complete_multipartite([2] * 3 + [1])
+    nbrs = neighbour_sets(g)
     res = degeneracy(g)
     order = res.elimination_order
     assert sorted(order) == list(range(g.n))
     position = {v: i for i, v in enumerate(order)}
     worst = max(
-        sum(1 for u in g.neighbors(v) if position[u] > position[v])
+        sum(1 for u in nbrs[v] if position[u] > position[v])
         for v in order
     )
     assert worst == res.degeneracy
@@ -162,7 +173,7 @@ def test_degeneracy_matches_subgraph_oracle():
 
 def naive_elimination_order(g: Graph) -> tuple[int, ...]:
     # remove the alive vertex of least (degree, id), one linear scan each
-    nbr = [set(g.neighbors(v)) for v in range(g.n)]
+    nbr = neighbour_sets(g)
     alive = set(range(g.n))
     order = []
     while alive:
@@ -183,11 +194,12 @@ def test_degeneracy_order_matches_naive_scan():
         res = degeneracy(g)
         order = naive_elimination_order(g)
         assert res.elimination_order == order
+        nbrs = neighbour_sets(g)
         alive = set(range(g.n))
         most = 0
         for v in order:
             alive.remove(v)
-            most = max(most, len(set(g.neighbors(v)) & alive))
+            most = max(most, len(nbrs[v] & alive))
         assert res.degeneracy == most
 
 
@@ -232,11 +244,12 @@ def test_degeneracy_edge_cases_match_naive_scan(g):
     res = degeneracy(g)
     order = naive_elimination_order(g)
     assert res.elimination_order == order
+    nbrs = neighbour_sets(g)
     alive = set(range(g.n))
     most = 0
     for v in order:
         alive.remove(v)
-        most = max(most, len(set(g.neighbors(v)) & alive))
+        most = max(most, len(nbrs[v] & alive))
     assert res.degeneracy == most
 
 
@@ -287,11 +300,12 @@ def test_reaches_all_means_one_component():
 def test_union_over_is_a_set_union():
     for rng, g, subsets in walk_instances():
         table = [rng.getrandbits(8) for _ in range(g.n)]
+        nbrs = neighbour_sets(g)
         for within in subsets:
             want = set()
             for u in within:
                 want |= {c for c in range(8) if table[u] >> c & 1}
             assert union_over(table, mask(within)) == mask(want)
             assert union_over(g.adj, mask(within)) == mask(
-                set().union(*(g.neighbors(u) for u in within))
+                set().union(*(nbrs[u] for u in within))
             )

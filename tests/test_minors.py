@@ -8,11 +8,10 @@ from unchoosable import (
     InvalidArgumentError,
     SearchTimeout,
     check_witness,
+    complete_multipartite,
     counting_bound,
     hadwiger_number,
     has_clique_minor,
-    k_1_r_times_2,
-    k_r_times_2,
 )
 
 from unchoosable import minors
@@ -47,8 +46,10 @@ def test_check_witness_rejects_overlap_disconnection_nonadjacency():
 def test_counting_bound_values():
     assert counting_bound(complete(4), [[0], [1], [2], [3]]) == 4
     assert counting_bound(cycle(5), [[0, 2], [1, 3], [4]]) == 4
-    assert counting_bound(k_r_times_2(3), [[0, 1], [2, 3], [4, 5]]) == 4
-    assert counting_bound(k_1_r_times_2(2), [[0, 1], [2, 3], [4]]) == 4
+    octahedron = complete_multipartite([2] * 3)
+    assert counting_bound(octahedron, [[0, 1], [2, 3], [4, 5]]) == 4
+    apexed = complete_multipartite([2] * 2 + [1])
+    assert counting_bound(apexed, [[0, 1], [2, 3], [4]]) == 4
     assert counting_bound(Graph.from_edges(0, []), []) == 0
 
 
@@ -232,8 +233,8 @@ def test_negative_searches_keep_their_node_counts():
     # an exhausted tree does not depend on which child is tried first, so
     # these pin the pruning rules, not the value order; the Petersen count
     # grows without any one of the three rules
-    assert has_clique_minor(k_r_times_2(4), 7).nodes == 516
-    assert has_clique_minor(k_r_times_2(5), 8).nodes == 12813
+    assert has_clique_minor(complete_multipartite([2] * 4), 7).nodes == 516
+    assert has_clique_minor(complete_multipartite([2] * 5), 8).nodes == 12813
     assert has_clique_minor(petersen(), 6).nodes == 7981
 
 
@@ -251,7 +252,7 @@ def test_cycle_contracts_to_triangle_not_k4():
 
 
 def test_octahedron_hadwiger_four():
-    g = k_r_times_2(3)
+    g = complete_multipartite([2] * 3)
     assert not has_clique_minor(g, 5).contains
     assert has_clique_minor(g, 4).contains
     assert hadwiger_number(g) == 4
@@ -275,8 +276,8 @@ def test_minus_matching_family():
     # r doubled classes: hadwiger floor(3r/2); with a dominating vertex, +1
     for r in range(1, 5):
         bound = (3 * r) // 2
-        assert hadwiger_number(k_r_times_2(r)) == bound
-        assert hadwiger_number(k_1_r_times_2(r)) == bound + 1
+        assert hadwiger_number(complete_multipartite([2] * r)) == bound
+        assert hadwiger_number(complete_multipartite([2] * r + [1])) == bound + 1
 
 
 def test_matches_partition_oracle():
@@ -296,7 +297,7 @@ def test_edge_bound_short_circuits():
 
 def test_timeout_raises():
     # target above the hadwiger number forces the search to exhaust
-    g = k_r_times_2(7)
+    g = complete_multipartite([2] * 7)
     with pytest.raises(SearchTimeout):
         has_clique_minor(g, 11, timeout=1e-4)
 
