@@ -107,8 +107,12 @@ def test_paste_requires_cliques():
         paste(path, (0, 2), tri, (0, 1))
     with pytest.raises(PreconditionError, match="second graph"):
         paste(tri, (0, 1), path, (0, 2))
-    # a triangle with a pendant vertex: its cliques paste on either side,
-    # in any order, and a set with a non-edge does not
+
+
+def test_is_clique():
+    # paste is where cliques are tested: a triangle with a pendant vertex
+    # pastes its cliques on either side, in any order, and a set with a
+    # non-edge it refuses
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     k4 = complete_multipartite([1] * 4)
     for clique in [(0, 1, 2), (2, 1, 0), (3,), (), (3, 2)]:
