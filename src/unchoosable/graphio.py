@@ -6,7 +6,7 @@ Its 6-bit groups are base64's (RFC 4648), most significant bit first,
 in another alphabet: so the codec packs and unpacks the n(n-1)/2 bits
 with `binascii` and maps the alphabets with one `bytes.translate`.
 Python itself takes O(n + m) steps, one per edge and per column, and
-never builds `Graph.adj`.  The adjacency-JSON format is
+never builds adjacency masks.  The adjacency-JSON format is
 ``{"n": int, "edges": [[u,v], ...]}`` with edges sorted
 lexicographically; the reader ignores any other key.
 """

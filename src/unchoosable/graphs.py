@@ -3,18 +3,20 @@ pasting, degeneracy orderings, and the walks over vertex masks.
 
 Vertices are dense 0-based ids.  Edges are stored normalized (u < v,
 lexicographically sorted) so that equal graphs compare equal and every
-serialization is canonical.
+serialization is canonical.  A `Graph` is exactly those two fields and
+holds no derived state.
 
-A vertex set is an int mask, bit v for vertex v.  The list-coloring
-solver and the branch-set witness check walk such masks only through
-`union_over`, `reaches_all` and `components` here.
+A vertex set is an int mask, bit v for vertex v.  `adjacency_masks`
+builds a graph's masks, n²/16 bytes, and is called only by the two
+search kernels, `minors.has_clique_minor` and `listcolor.l_colorable`;
+they walk them through `union_over`, `reaches_all` and `components`
+here.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError, PreconditionError
@@ -74,12 +76,12 @@ def components(adj: Sequence[int], within: int) -> list[int]:
     return parts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
     Immutable and hashable, hence safely shareable across concurrent
-    readers.
+    readers.  Slotted, so nothing derived can be cached on it.
     """
 
     n: int
@@ -104,15 +106,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def adj(self) -> tuple[int, ...]:
-        """Adjacency bitmasks: bit u of adj[v] is set iff uv is an edge."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
-
     def check_vertices(self, vertices: Sequence[int]) -> tuple[int, ...]:
         """Validate a duplicate-free vertex set; returns it as given."""
         vs = tuple(vertices)
@@ -122,6 +115,16 @@ class Graph:
             if not (0 <= v < self.n):
                 raise InvalidArgumentError(f"vertex {v} out of range [0,{self.n})")
         return vs
+
+
+def adjacency_masks(g: Graph) -> list[int]:
+    """Fresh adjacency bitmasks, n²/16 bytes: bit u of the v-th is set
+    iff uv is an edge.  The caller owns the list."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
 @dataclass(frozen=True)

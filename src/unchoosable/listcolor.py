@@ -30,7 +30,8 @@ hit)` entry on one global trail, and undoing it restores the vertex to
 its siblings' work too.  A choice point is [vertex, untried colors,
 trail mark, goals] and holds no mask of its own, and `hit` is kept
 shifted down to its lowest vertex, so memory is linear on a long forced
-chain: a 2-color path of 2·10⁴ vertices peaks at 5.6 MB traced.
+chain: a 2-color path of 2·10⁴ vertices peaks at 5.6 MB traced besides
+its n²/16 bytes of adjacency masks.
 
 The parts of a split are solved tightest first: fewest colors whose
 mask meets the part, split order (lowest vertex) on ties, with the keys
@@ -54,7 +55,7 @@ from typing import Iterable, Mapping
 
 from .errors import InvalidArgumentError, PreconditionError, SearchTimeout
 from .graphio import read_json
-from .graphs import Graph, components, reaches_all, union_over
+from .graphs import Graph, adjacency_masks, components, reaches_all, union_over
 
 # with a timeout the clock is read once per this many backtracks; every
 # failed branch ends in one, so no long search goes unchecked
@@ -196,7 +197,7 @@ def l_colorable(
     # bit k set iff by_size[k] is not empty
     filled = sum(1 << k for k, vs in enumerate(by_size) if vs)
 
-    adj = g.adj
+    adj = adjacency_masks(g)
     result = [0] * g.n
     uncolored = (1 << g.n) - 1
     # one (vertex, color, hit >> shift, shift) entry per coloring, `hit`

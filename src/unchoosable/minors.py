@@ -33,6 +33,12 @@ depend on the order.  Neither the reductions nor the search recurse:
 the search keeps an explicit stack of frames, one per placed vertex,
 so a long cycle at t = 3 is found in one node per vertex.
 
+Only `has_clique_minor` builds adjacency masks (`graphs.adjacency_masks`,
+n²/16 bytes), once per call after its early exits, and `_reduce`
+rewrites that fresh list in place.  `check_witness` proof-checks a
+witness on `g.edges` alone by union-find, in O(n+m), so checking a
+certificate never allocates masks.
+
 `counting_bound` is the cheap negative side: a partition of the vertex
 set into k independent sets caps every clique minor at floor((n+k)/2),
 which is tight for the construction's gadgets.
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidArgumentError, SearchTimeout
-from .graphs import Graph, _bits, reaches_all, union_over
+from .graphs import Graph, _bits, adjacency_masks
 
 # with a timeout the search reads the clock once per this many nodes
 _TIMEOUT_CHECK_EVERY = 1024
@@ -65,13 +71,16 @@ class BranchSetWitness:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BranchSetWitness":
-        """Inverse of `to_json_dict`; InvalidArgumentError unless the
-        branch sets are lists of JSON integers."""
+        """Inverse of `to_json_dict`; InvalidArgumentError unless there
+        is at least one branch set and every one is a list of JSON
+        integers (a K_0 minor is no claim: `has_clique_minor` takes t >= 1)."""
         raw = doc["branch_sets"]
         if not isinstance(raw, list) or not all(
             isinstance(s, list) and all(type(v) is int for v in s) for s in raw
         ):
             raise InvalidArgumentError("branch sets must be lists of integer ids")
+        if not raw:
+            raise InvalidArgumentError("a witness needs at least one branch set")
         return cls(branch_sets=tuple(tuple(s) for s in raw))
 
 
@@ -84,30 +93,41 @@ class MinorAnswer:
 
 def check_witness(g: Graph, witness: BranchSetWitness) -> bool:
     """True iff the branch sets are disjoint, connected and pairwise
-    adjacent in `g`, walked by `graphs.reaches_all` and `union_over`."""
-    masks = []
-    seen = 0
-    for bs in witness.branch_sets:
+    adjacent in `g`.  One pass over `g.edges` unions the two ends of
+    every edge inside a set (union-find) and records every pair of sets
+    an edge joins: O(n+m), and no adjacency masks."""
+    owner = [-1] * g.n
+    for i, bs in enumerate(witness.branch_sets):
         if not bs:
             return False
-        mask = 0
         for v in bs:
             if not (0 <= v < g.n):
                 raise InvalidArgumentError(f"witness vertex {v} out of range [0,{g.n})")
-            mask |= 1 << v
-        if mask & seen or mask.bit_count() != len(bs):
-            return False  # overlap between sets or repeats inside one
-        seen |= mask
-        masks.append(mask)
-    for mask in masks:
-        if not reaches_all(g.adj, mask, mask):
-            return False
-    for i in range(len(masks)):
-        ni = union_over(g.adj, masks[i])
-        for j in range(i + 1, len(masks)):
-            if not ni & masks[j]:
-                return False
-    return True
+        for v in bs:
+            if owner[v] != -1:
+                return False  # overlap between sets or repeats inside one
+            owner[v] = i
+    t = len(witness.branch_sets)
+    parent = list(range(g.n))
+    unions = [0] * t  # a set of k vertices is connected after k-1 unions
+    joined = set()
+    for u, v in g.edges:
+        a, b = owner[u], owner[v]
+        if a == -1 or b == -1:
+            continue
+        if a != b:
+            joined.add((a, b) if a < b else (b, a))
+            continue
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            unions[a] += 1
+    if len(joined) != t * (t - 1) // 2:
+        return False
+    return all(unions[i] == len(bs) - 1 for i, bs in enumerate(witness.branch_sets))
 
 
 def has_clique_minor(g: Graph, t: int, *, timeout: float | None = None) -> MinorAnswer:
@@ -122,7 +142,7 @@ def has_clique_minor(g: Graph, t: int, *, timeout: float | None = None) -> Minor
     if t > g.n or g.m < t * (t - 1) // 2:
         return MinorAnswer(False, None, 0)
     deadline = None if timeout is None else time.monotonic() + timeout
-    adj, members = _reduce(g.adj, g.n, t)
+    adj, members = _reduce(adjacency_masks(g), g.n, t)
     if t > len(adj) or sum(a.bit_count() for a in adj) // 2 < t * (t - 1) // 2:
         return MinorAnswer(False, None, 0)
     masks, nodes = _grow_search(adj, len(adj), t, deadline)
@@ -174,14 +194,14 @@ def hadwiger_number(g: Graph) -> int:
 # --- reductions ------------------------------------------------------------
 
 
-def _reduce(adj: Sequence[int], n: int, t: int):
+def _reduce(adj: list[int], n: int, t: int):
     """Apply both rules to a fixpoint.  Returns the adjacency masks of
     what is left, relabelled 0.. in ascending id, and for each vertex
-    left the input vertices it stands for.
+    left the input vertices it stands for.  Takes ownership of `adj`,
+    which it rewrites in place and returns when no vertex went.
 
     `members[v]` is emptied when v goes.  A rule that fires pushes the
     vertices whose rule may now apply, in ascending id."""
-    adj = list(adj)
     members = [[v] for v in range(n)]
     todo = list(range(n))
     while todo:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 from unchoosable import Graph
 
@@ -19,6 +20,20 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def forbid_adjacency_masks(monkeypatch) -> None:
+    """Make `graphs.adjacency_masks` raise, under every name a loaded
+    package module binds it to."""
+
+    def refuse(g):
+        raise AssertionError("adjacency masks were built")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "unchoosable" and hasattr(
+            module, "adjacency_masks"
+        ):
+            monkeypatch.setattr(module, "adjacency_masks", refuse)
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:

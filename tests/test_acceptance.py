@@ -30,6 +30,7 @@ from unchoosable import (
     verify_construction,
     verify_not_colorable,
 )
+from unchoosable.graphs import adjacency_masks
 from unchoosable.minors import _grow_search
 
 from conftest import oracle_has_minor, oracle_list_colorable, random_graph, random_lists
@@ -193,7 +194,7 @@ def test_criterion_7i_minor_search_vs_oracle():
             want = oracle_has_minor(g, t)
             assert has_clique_minor(g, t).contains == want
             # the search alone, on graphs the reductions would shrink
-            assert (_grow_search(g.adj, g.n, t, None)[0] is not None) == want
+            assert (_grow_search(adjacency_masks(g), g.n, t, None)[0] is not None) == want
 
     _report(7, "(i) 500 random minor instances agree with the partition oracle", body)
 

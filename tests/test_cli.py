@@ -172,6 +172,11 @@ def test_minor_witness_roundtrips_through_check_cert(tmp_path, capsys):
     code, _, _ = run(["check-cert", "--cert", str(wp), "--graph", str(gp)], capsys)
     assert code == 1
 
+    # a K_0 witness claims nothing, so it is malformed
+    write_text(wp, json.dumps({"kind": "branch-set-positive", "branch_sets": []}))
+    code, out, _ = run(["check-cert", "--cert", str(wp), "--graph", str(gp)], capsys)
+    assert code == 1 and "malformed certificate" in out
+
 
 def test_color_exit_codes(tmp_path, capsys):
     gp = tmp_path / "c4.g6"

@@ -19,7 +19,7 @@ from unchoosable import (
 
 from unchoosable.graphs import VERTEX_CAP
 
-from conftest import random_graph
+from conftest import forbid_adjacency_masks, random_graph
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -158,10 +158,10 @@ def test_graph6_bad_byte_reported_at_its_offset():
             assert err.value.offset == offset, (offset, bad)
 
 
-def test_graph6_writer_builds_no_adjacency_masks():
+def test_graph6_writer_builds_no_adjacency_masks(monkeypatch):
     g = random_graph(random.Random(48), 40, 0.5)
-    write_graph6(g)
-    assert "adj" not in g.__dict__
+    forbid_adjacency_masks(monkeypatch)
+    assert read_graph6(write_graph6(g)) == g
 
 
 def test_graph6_codec_memory_is_linear_in_its_text():

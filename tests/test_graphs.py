@@ -6,15 +6,26 @@ import pytest
 from unchoosable import (
     Graph,
     InvalidArgumentError,
+    ListAssignment,
     PreconditionError,
     build,
+    check_witness,
     complete_multipartite,
     degeneracy,
+    has_clique_minor,
+    l_colorable,
     params_for,
     paste,
+    write_graph6,
 )
 
-from unchoosable.graphs import components, neighbour_sets, reaches_all, union_over
+from unchoosable.graphs import (
+    adjacency_masks,
+    components,
+    neighbour_sets,
+    reaches_all,
+    union_over,
+)
 
 from conftest import oracle_degeneracy, random_graph
 
@@ -40,7 +51,20 @@ def test_adjacency_and_degrees():
     assert [len(row) for row in nbrs] == [3, 1, 1, 1]
     assert nbrs[0] == {1, 2, 3}
     assert 2 in nbrs[0] and 2 not in nbrs[1]
-    assert g.adj == (0b1110, 0b1, 0b1, 0b1)
+    assert adjacency_masks(g) == [0b1110, 0b1, 0b1, 0b1]
+
+
+def test_graph_holds_only_its_two_fields():
+    # the kernels build their adjacency masks per call and cache nothing
+    # on the graph, which has no room for it
+    assert Graph.__slots__ == ("n", "edges")
+    g = complete_multipartite([2, 2, 2])
+    ans = has_clique_minor(g, 4)
+    assert ans.contains and check_witness(g, ans.witness)
+    assert not l_colorable(g, ListAssignment.from_lists(2, [[1, 2]] * 6)).colorable
+    assert degeneracy(g).degeneracy == 4
+    assert write_graph6(g)
+    assert not hasattr(g, "__dict__")
 
 
 def test_complete_multipartite_octahedron():
@@ -275,41 +299,44 @@ def walk_instances():
 
 def test_components_match_networkx():
     for _, g, subsets in walk_instances():
+        adj = adjacency_masks(g)
         nxg = nx.Graph(g.edges)
         nxg.add_nodes_from(range(g.n))
         for within in subsets:
             want = sorted(nx.connected_components(nxg.subgraph(within)), key=min)
-            assert components(g.adj, mask(within)) == [mask(c) for c in want]
+            assert components(adj, mask(within)) == [mask(c) for c in want]
 
 
 def test_reaches_all_means_one_component():
     split = 0
     for rng, g, subsets in walk_instances():
+        adj = adjacency_masks(g)
         for within in subsets:
-            parts = components(g.adj, mask(within))
+            parts = components(adj, mask(within))
             for _ in range(4):
                 targets = {v for v in within if rng.random() < 0.5}
                 one = any(mask(targets) & ~part == 0 for part in parts)
                 want = bool(targets) and one
                 split += bool(targets) and not one
-                assert reaches_all(g.adj, mask(within), mask(targets)) == want
+                assert reaches_all(adj, mask(within), mask(targets)) == want
     assert split > 100  # targets split across parts were drawn
     # a path 0-1-2 with its middle left out: the ends lie in two parts
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert reaches_all(path.adj, 0b111, 0b101)
-    assert not reaches_all(path.adj, 0b101, 0b101)
-    assert not reaches_all(path.adj, 0, 0)
+    adj = adjacency_masks(path)
+    assert reaches_all(adj, 0b111, 0b101)
+    assert not reaches_all(adj, 0b101, 0b101)
+    assert not reaches_all(adj, 0, 0)
 
 
 def test_union_over_is_a_set_union():
     for rng, g, subsets in walk_instances():
         table = [rng.getrandbits(8) for _ in range(g.n)]
-        nbrs = neighbour_sets(g)
+        adj, nbrs = adjacency_masks(g), neighbour_sets(g)
         for within in subsets:
             want = set()
             for u in within:
                 want |= {c for c in range(8) if table[u] >> c & 1}
             assert union_over(table, mask(within)) == mask(want)
-            assert union_over(g.adj, mask(within)) == mask(
+            assert union_over(adj, mask(within)) == mask(
                 set().union(*(nbrs[u] for u in within))
             )

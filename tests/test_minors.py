@@ -15,8 +15,9 @@ from unchoosable import (
 )
 
 from unchoosable import minors
+from unchoosable.graphs import adjacency_masks, reaches_all, union_over
 
-from conftest import oracle_has_minor, random_graph
+from conftest import forbid_adjacency_masks, oracle_has_minor, random_graph
 
 
 def complete(n: int) -> Graph:
@@ -41,6 +42,110 @@ def test_check_witness_rejects_overlap_disconnection_nonadjacency():
     assert not check_witness(g, BranchSetWitness(((0,), ())))
     with pytest.raises(InvalidArgumentError):
         check_witness(g, BranchSetWitness(((0,), (7,))))
+
+
+def mask_check_witness(g: Graph, witness: BranchSetWitness) -> bool:
+    """The adjacency-mask check that `check_witness` replaced, kept as
+    its reference."""
+    adj = adjacency_masks(g)
+    masks = []
+    seen = 0
+    for bs in witness.branch_sets:
+        if not bs:
+            return False
+        mask = 0
+        for v in bs:
+            if not (0 <= v < g.n):
+                raise InvalidArgumentError(f"witness vertex {v} out of range [0,{g.n})")
+            mask |= 1 << v
+        if mask & seen or mask.bit_count() != len(bs):
+            return False  # overlap between sets or repeats inside one
+        seen |= mask
+        masks.append(mask)
+    for mask in masks:
+        if not reaches_all(adj, mask, mask):
+            return False
+    for i in range(len(masks)):
+        ni = union_over(adj, masks[i])
+        for j in range(i + 1, len(masks)):
+            if not ni & masks[j]:
+                return False
+    return True
+
+
+def _mutate(rng: random.Random, sets: list[list[int]], n: int) -> None:
+    """One random edit of `sets` in place: move, drop, add, repeat or
+    swap a vertex, add or remove a set, or add an out-of-range id."""
+    i = rng.randrange(len(sets))
+    bs = sets[i]
+    edit = rng.randrange(8)
+    if edit == 0 and bs:  # move a vertex to another set
+        sets[rng.randrange(len(sets))].append(bs.pop(rng.randrange(len(bs))))
+    elif edit == 1 and bs:  # drop a vertex, maybe emptying the set
+        bs.pop(rng.randrange(len(bs)))
+    elif edit == 2:  # add any vertex: maybe unused, maybe in another set
+        bs.insert(rng.randint(0, len(bs)), rng.randrange(n))
+    elif edit == 3 and bs:  # repeat a vertex inside its set
+        bs.append(rng.choice(bs))
+    elif edit == 4:  # a new singleton set
+        sets.append([rng.randrange(n)])
+    elif edit == 5 and len(sets) > 1:
+        sets.pop(i)
+    elif edit == 6 and bs:  # swap a vertex for any vertex
+        bs[rng.randrange(len(bs))] = rng.randrange(n)
+    elif edit == 7 and rng.random() < 0.2:
+        bs.append(rng.choice([-1, n, n + 5]))
+
+
+def test_check_witness_agrees_with_the_mask_check():
+    rng = random.Random(2311)
+    verdicts = {True: 0, False: 0, "raised": 0}
+    for _ in range(4000):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.9]))
+        t = rng.randint(1, min(n, 5))
+        ans = has_clique_minor(g, t)
+        if ans.contains:
+            sets = [list(bs) for bs in ans.witness.branch_sets]
+        else:  # t random disjoint sets over the vertices
+            order = rng.sample(range(n), n)
+            sets = [[order[i]] for i in range(t)]
+            for v in order[t:]:
+                if rng.random() < 0.7:
+                    rng.choice(sets).append(v)
+        for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+            _mutate(rng, sets, n)
+        w = BranchSetWitness(tuple(map(tuple, sets)))
+        try:
+            want = mask_check_witness(g, w)
+        except InvalidArgumentError as exc:
+            with pytest.raises(InvalidArgumentError) as err:
+                check_witness(g, w)
+            assert str(err.value) == str(exc), (g, w)
+            verdicts["raised"] += 1
+            continue
+        assert check_witness(g, w) == want, (g, w)
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 50, verdicts
+
+
+def test_check_witness_builds_no_masks_on_a_long_cycle(monkeypatch):
+    forbid_adjacency_masks(monkeypatch)
+    n = 10**5
+    g = cycle(n)
+    a, b = n // 3, 2 * n // 3
+    arcs = [list(range(a)), list(range(a, b)), list(range(b, n))]
+
+    def check(sets):
+        return check_witness(g, BranchSetWitness(tuple(map(tuple, sets))))
+
+    assert check(arcs)
+    holed = arcs[0][: a // 2] + arcs[0][a // 2 + 1 :]
+    assert not check([holed, arcs[1], arcs[2]])  # one arc split by a gap
+    # one arc split into two sets: its halves miss the far arc
+    assert not check([arcs[0][: a // 2], arcs[0][a // 2 :], arcs[1], arcs[2]])
+    assert not check([arcs[0], arcs[1] + [0], arcs[2]])  # overlapping sets
+    assert not check([arcs[0] + [0], arcs[1], arcs[2]])  # a repeated vertex
 
 
 def test_counting_bound_values():
@@ -73,6 +178,9 @@ def test_witness_json_roundtrip():
     doc = w.to_json_dict()
     assert doc["t"] == 3
     assert BranchSetWitness.from_json_dict(doc) == w
+    # a K_0 witness claims nothing; `has_clique_minor` takes t >= 1
+    with pytest.raises(InvalidArgumentError, match="at least one branch set"):
+        BranchSetWitness.from_json_dict({"branch_sets": []})
 
 
 def test_k4_minor_in_k4_found_with_singleton_witness():
@@ -158,7 +266,7 @@ def test_reductions_reach_a_fixpoint():
         g = random_graph(rng, rng.randint(1, 12), rng.choice([0.15, 0.25, 0.4]))
         cases.append((g, rng.randint(2, 6)))
     for g, t in cases:
-        adj, members = minors._reduce(g.adj, g.n, t)
+        adj, members = minors._reduce(adjacency_masks(g), g.n, t)
         merged = [v for m in members for v in m]
         assert len(merged) == len(set(merged)) and all(members)
         _reduced_graph(adj)
@@ -195,7 +303,7 @@ def test_each_reduction_rule_keeps_the_oracle_answer(rule, fired, first_t):
         base = random_graph(rng, rng.randint(4, 6), 0.7)
         cases += [(subdivided(base), base, t) for t in (4, 5, 6)]
     for g, same, t in cases:
-        adj, members = minors._reduce(g.adj, g.n, t)
+        adj, members = minors._reduce(adjacency_masks(g), g.n, t)
         if not fired(g, members):
             continue
         applied.add(t)
@@ -216,7 +324,7 @@ def test_long_cycle_at_three_needs_no_recursion():
     # every vertex has degree t-1 and no rule applies, so the search
     # places all 2000 of them, deeper than the default recursion limit
     g = cycle(2000)
-    assert minors._reduce(g.adj, g.n, 3)[0] == list(g.adj)
+    assert minors._reduce(adjacency_masks(g), g.n, 3)[0] == adjacency_masks(g)
     ans = has_clique_minor(g, 3)
     assert ans.contains and ans.nodes <= g.n + 1
     assert check_witness(g, ans.witness)

@@ -3,7 +3,9 @@ The checker must not import the kernels the verifier uses, so that a
 second derivation, with gaps of its own, cannot creep back in.  The
 verifier itself certifies minor-freeness by the counting bound and
 non-colorability by the Hall test, so it must reach neither the
-exhaustive minor search nor the list-coloring solver."""
+exhaustive minor search nor the list-coloring solver.  Adjacency masks,
+n²/16 bytes, are built by `graphs.adjacency_masks` for the two search
+kernels alone, and no module keeps a second copy on the graph."""
 
 import ast
 from pathlib import Path
@@ -60,3 +62,34 @@ def test_verifier_keeps_one_adjacency_representation():
     names = {"adj", "is_clique", "labels", "matching_pairs", "complete_multipartite"}
     found = _uses(VERIFIER, names)
     assert not found, f"construction.py reaches a second adjacency: {found}"
+
+
+def test_only_the_search_kernels_build_adjacency_masks():
+    """`adjacency_masks` is imported only by the kernels' modules and
+    named only inside `has_clique_minor` and `l_colorable`; no module
+    reads an `adj` attribute."""
+    kernels = {"minors.py": "has_clique_minor", "listcolor.py": "l_colorable"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        # the innermost function around each node; ast.walk is
+        # breadth-first, so inner functions overwrite outer ones
+        inside = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    inside[node] = fn.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+                ok = path.name in kernels
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                names = [node.attr if isinstance(node, ast.Attribute) else node.id]
+                ok = inside.get(node) == kernels.get(path.name)
+                if isinstance(node, ast.Attribute) and node.attr == "adj":
+                    found.append(f"{path.name} line {node.lineno}: .adj")
+            else:
+                continue
+            if "adjacency_masks" in names and not ok:
+                found.append(f"{path.name} line {node.lineno}: adjacency_masks")
+    assert not found, f"adjacency masks outside the search kernels: {found}"
