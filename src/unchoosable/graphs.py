@@ -191,7 +191,8 @@ def paste(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequence[int]) -> Graph:
         a, b = relabel[u], relabel[v]
         edges.add((a, b) if a < b else (b, a))  # identification cannot create
         # loops (s2 is duplicate-free) and duplicates are merged here
-    return Graph.from_edges(fresh, edges)
+    # normalized, in range and loop-free already, so no from_edges pass
+    return Graph(n=fresh, edges=tuple(sorted(edges)))
 
 
 def neighbour_sets(g: Graph) -> list[set[int]]:

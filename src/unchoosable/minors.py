@@ -20,6 +20,10 @@ vertices merged into it, so that a witness maps back to the input:
   set hanging off b, and a's new edge to b replaces v's.  Long cycles
   contract to a triangle, which (a) then deletes.
 
+Both rules need a vertex of degree below t-1, so only those start on
+the worklist.  When fewer than t vertices or t(t-1)/2 edges are left,
+the answer is no, and nothing is relabelled.
+
 Then one complete search runs on what is left: vertices are considered
 in ascending id and each either opens the next set, joins an open set
 or is discarded, in that order, with sound pruning rules (capacity,
@@ -31,7 +35,16 @@ finds no minor visits every node the rules leave, and which child is
 tried first does not change that set, so negative node counts do not
 depend on the order.  Neither the reductions nor the search recurse:
 the search keeps an explicit stack of frames, one per placed vertex,
-so a long cycle at t = 3 is found in one node per vertex.
+so a long cycle at t = 3 is found in one node per vertex.  Each frame
+also counts its split sets (sets of more than one component), so the
+success test and the stranded-component scan skip their per-set loops
+while none is split, and one index, the highest vertex with a higher
+neighbour, says whether an edge can still come among the vertices not
+yet placed.
+
+Most queries are small, so the fixed cost of a call matters as much as
+the cost of a node: a query decided by counting returns one shared
+answer, and the witness is mapped back and read in plain loops.
 
 Only `has_clique_minor` builds adjacency masks (`graphs.adjacency_masks`,
 n²/16 bytes), once per call after its early exits, and `_reduce`
@@ -51,7 +64,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidArgumentError, SearchTimeout
-from .graphs import Graph, _bits, adjacency_masks
+from .graphs import Graph, adjacency_masks, union_over
 
 # with a timeout the search reads the clock once per this many nodes
 _TIMEOUT_CHECK_EVERY = 1024
@@ -75,13 +88,18 @@ class BranchSetWitness:
         is at least one branch set and every one is a list of JSON
         integers (a K_0 minor is no claim: `has_clique_minor` takes t >= 1)."""
         raw = doc["branch_sets"]
-        if not isinstance(raw, list) or not all(
-            isinstance(s, list) and all(type(v) is int for v in s) for s in raw
-        ):
-            raise InvalidArgumentError("branch sets must be lists of integer ids")
+        malformed = "branch sets must be lists of integer ids"
+        if not isinstance(raw, list):
+            raise InvalidArgumentError(malformed)
+        for s in raw:
+            if not isinstance(s, list):
+                raise InvalidArgumentError(malformed)
+            for v in s:
+                if type(v) is not int:
+                    raise InvalidArgumentError(malformed)
         if not raw:
             raise InvalidArgumentError("a witness needs at least one branch set")
-        return cls(branch_sets=tuple(tuple(s) for s in raw))
+        return cls(branch_sets=tuple(map(tuple, raw)))
 
 
 @dataclass(frozen=True)
@@ -89,6 +107,10 @@ class MinorAnswer:
     contains: bool
     witness: BranchSetWitness | None
     nodes: int
+
+
+# the answer of every query decided without a search; frozen, so shared
+_NO_MINOR = MinorAnswer(False, None, 0)
 
 
 def check_witness(g: Graph, witness: BranchSetWitness) -> bool:
@@ -140,18 +162,24 @@ def has_clique_minor(g: Graph, t: int, *, timeout: float | None = None) -> Minor
     if t <= 0:
         raise InvalidArgumentError(f"clique order must be positive, got {t}")
     if t > g.n or g.m < t * (t - 1) // 2:
-        return MinorAnswer(False, None, 0)
+        return _NO_MINOR
     deadline = None if timeout is None else time.monotonic() + timeout
     adj, members = _reduce(adjacency_masks(g), g.n, t)
-    if t > len(adj) or sum(a.bit_count() for a in adj) // 2 < t * (t - 1) // 2:
-        return MinorAnswer(False, None, 0)
+    if not adj:
+        return _NO_MINOR
     masks, nodes = _grow_search(adj, len(adj), t, deadline)
     if masks is None:
         return MinorAnswer(False, None, nodes)
-    branch_sets = tuple(
-        tuple(sorted(v for i in _bits(mask) for v in members[i])) for mask in masks
-    )
-    return MinorAnswer(True, BranchSetWitness(branch_sets), nodes)
+    branch_sets = []
+    for mask in masks:
+        bs = []
+        while mask:
+            low = mask & -mask
+            bs += members[low.bit_length() - 1]
+            mask ^= low
+        bs.sort()
+        branch_sets.append(tuple(bs))
+    return MinorAnswer(True, BranchSetWitness(tuple(branch_sets)), nodes)
 
 
 def counting_bound(g: Graph, parts: Sequence[Sequence[int]]) -> int | None:
@@ -197,39 +225,45 @@ def hadwiger_number(g: Graph) -> int:
 def _reduce(adj: list[int], n: int, t: int):
     """Apply both rules to a fixpoint.  Returns the adjacency masks of
     what is left, relabelled 0.. in ascending id, and for each vertex
-    left the input vertices it stands for.  Takes ownership of `adj`,
-    which it rewrites in place and returns when no vertex went.
+    left the input vertices it stands for; or two empty lists when what
+    is left has fewer than t vertices or t(t-1)/2 edges, and so no K_t
+    minor, a count test made before any relabelling.  Takes ownership of
+    `adj`, which it rewrites in place and returns when no vertex went.
 
     `members[v]` is emptied when v goes.  A rule that fires pushes the
     vertices whose rule may now apply, in ascending id."""
+    small = t - 1  # both rules need degree below this: rule (b)'s 2 < t-1 is t >= 4
     members = [[v] for v in range(n)]
-    todo = list(range(n))
+    left = n
+    # a vertex of higher degree is pushed once a rule changes its neighbourhood
+    todo = [v for v in range(n) if adj[v].bit_count() < small]
     while todo:
         v = todo.pop()
         if not members[v]:
             continue
         nv = adj[v]
         degree = nv.bit_count()
-        touched = 0
-        if degree < t - 1:
-            # rule (a): delete v if its neighbourhood is a clique
+        if degree >= small:
+            continue
+        # rule (a): delete v if its neighbourhood is a clique
+        rest = nv
+        while rest:
+            low = rest & -rest
+            if (adj[low.bit_length() - 1] | low) & nv != nv:
+                break
+            rest ^= low
+        if not rest:
+            gone = ~(1 << v)
             rest = nv
             while rest:
                 low = rest & -rest
-                if (adj[low.bit_length() - 1] | low) & nv != nv:
-                    break
+                adj[low.bit_length() - 1] &= gone
                 rest ^= low
-            if not rest:
-                gone = ~(1 << v)
-                rest = nv
-                while rest:
-                    low = rest & -rest
-                    adj[low.bit_length() - 1] &= gone
-                    rest ^= low
-                adj[v] = 0
-                members[v] = []
-                touched = nv
-        if members[v] and degree == 2 and t >= 4:
+            adj[v] = 0
+            members[v] = []
+            left -= 1
+            touched = nv
+        elif degree == 2:
             # rule (b): contract v into its lower neighbour a, which
             # inherits v's edge to the other neighbour b
             low = nv & -nv
@@ -240,18 +274,24 @@ def _reduce(adj: list[int], n: int, t: int):
             adj[v] = 0
             members[a] += members[v]
             members[v] = []
+            left -= 1
             # a and b changed, and so did the neighbourhoods containing both
             touched = 1 << a | 1 << b | adj[a] & adj[b]
+        else:
+            continue
         while touched:
             low = touched & -touched
             todo.append(low.bit_length() - 1)
             touched ^= low
-    keep = [v for v in range(n) if members[v]]
-    if len(keep) == n:
+    if left < t or sum(map(int.bit_count, adj)) < t * (t - 1):
+        return [], []  # each edge is counted from both ends
+    if left == n:
         return adj, members
-    index = {v: i for i, v in enumerate(keep)}
-    radj = [sum(1 << index[u] for u in _bits(adj[v])) for v in keep]
-    return radj, [members[v] for v in keep]
+    keep = [v for v in range(n) if members[v]]
+    bit = [0] * n  # bit[v]: v's bit after relabelling
+    for i, v in enumerate(keep):
+        bit[v] = 1 << i
+    return [union_over(bit, adj[v]) for v in keep], [members[v] for v in keep]
 
 
 # --- the search ------------------------------------------------------------
@@ -262,74 +302,73 @@ def _grow_search(adj: Sequence[int], n: int, t: int, deadline: float | None):
     t branch sets or the discard pile.  Returns (set masks or None,
     nodes visited), or raises SearchTimeout once past `deadline`.
 
-    A node is (v, sets, opened): vertices below v are placed, and sets
-    0..opened-1 are non-empty.  A set is (members, neighbourhood,
-    components as (mask, neighbourhood) pairs).  Each stack frame is
-    [v, sets, opened, next choice]; the choices are -1 (v opens set
-    `opened`, while opened < t), 0..opened-1 (v joins that set), then
-    `opened` (v is discarded, and the frame is popped)."""
-    suffix_edge = [False] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        suffix_edge[v] = suffix_edge[v + 1] or adj[v] >> (v + 1) != 0
+    A node is (v, sets, split): vertices below v are placed, `sets` are
+    the sets opened so far, and `split` of them have more than one
+    component.  A set is (members, neighbourhood, components as (mask,
+    neighbourhood) pairs).  Each stack frame is [v, sets, split, next
+    choice]; the choices are -1 (v opens the next set, while fewer than
+    t are open), 0..opened-1 (v joins that set), then `opened` (v is
+    discarded, and the frame is popped).  With no split set the success
+    test and the stranded-component scan have no set to look at.
+    `last_up` is the highest vertex with a higher neighbour, so some
+    edge joins two vertices from v on exactly when v <= last_up."""
+    last_up = n - 1
+    while last_up >= 0 and not adj[last_up] >> (last_up + 1):
+        last_up -= 1
     full = (1 << n) - 1
     nodes = 0
     stack = []
-    v, sets, opened = 0, ((0, 0, ()),) * t, 0
+    v, sets, split = 0, (), 0
     while True:
         nodes += 1
         if deadline is not None and nodes % _TIMEOUT_CHECK_EVERY == 0:
             if time.monotonic() > deadline:
                 raise SearchTimeout("minor search exceeded its time budget")
-        if opened == t:
-            # success: every set connected and every pair adjacent
+        opened = len(sets)
+        if opened == t and not split:
+            # success: every set connected; is every pair adjacent?
             found = True
-            for _, _, comps in sets:
-                if len(comps) > 1:
-                    found = False
-                    break
-            i = 0
-            while found and i < t:
-                ni = sets[i][1]
-                for j in range(i + 1, t):
-                    if not ni & sets[j][0]:
+            for i, (_, ni, _) in enumerate(sets):
+                for mj, _, _ in sets[i + 1 :]:
+                    if not ni & mj:
                         found = False
                         break
-                i += 1
+                if not found:
+                    break
             if found:
                 return [s[0] for s in sets], nodes
-        alive = v < n
+        # the sets still to open, and one joining vertex for each split
+        # set, need distinct vertices from v on
+        alive = v < n and t - opened + split <= n - v
         if alive:
             rest = full >> v << v
-            # the sets still to open, and one joining vertex for each
-            # split set, need distinct vertices from v on
-            need = t - opened
-            for i in range(opened):
-                comps = sets[i][2]
-                if len(comps) > 1:
-                    need += 1
-                    for _, cnbr in comps:
-                        if not cnbr & rest:
-                            alive = False  # a stranded component
-            if need > n - v:
-                alive = False  # over capacity
-            i = 0
-            while alive and i < opened:
-                ni = sets[i][1]
-                for j in range(i + 1, opened):
-                    mj, nj, _ = sets[j]
+            if split:
+                for _, _, comps in sets:
+                    if len(comps) > 1:
+                        for _, cnbr in comps:
+                            if not cnbr & rest:
+                                alive = False  # a stranded component
+            grows = v <= last_up
+            for i, (_, ni, _) in enumerate(sets):
+                if not alive:
+                    break
+                for mj, nj, _ in sets[i + 1 :]:
                     if ni & mj or ni & nj & rest:
                         continue  # adjacent, or one future vertex can join either
-                    if suffix_edge[v] and ni & rest and nj & rest:
+                    if grows and ni & rest and nj & rest:
                         continue  # both sets can still grow toward a future edge
                     alive = False  # an unfixable pair
                     break
-                i += 1
-            if alive:
-                stack.append([v, sets, opened, -1 if opened < t else 0])
-        if not stack:
+        if alive:
+            k = -1 if opened < t else 0
+            frame = [v, sets, split, k]
+            stack.append(frame)
+        elif stack:
+            frame = stack[-1]
+            v, sets, split, k = frame
+            opened = len(sets)
+        else:
             return None, nodes
-        frame = stack[-1]
-        v, sets, opened, k = frame
         if k == opened:
             stack.pop()  # the last choice: discard v
         else:
@@ -337,9 +376,7 @@ def _grow_search(adj: Sequence[int], n: int, t: int, deadline: float | None):
             vbit = 1 << v
             vadj = adj[v]
             if k < 0:
-                new = (vbit, vadj, ((vbit, vadj),))
-                k = opened
-                opened += 1
+                sets += ((vbit, vadj, ((vbit, vadj),)),)
             else:
                 mask, nbr, comps = sets[k]
                 cmask, cnbr, kept = vbit, vadj, ()
@@ -349,6 +386,7 @@ def _grow_search(adj: Sequence[int], n: int, t: int, deadline: float | None):
                         cnbr |= comp[1]
                     else:
                         kept += (comp,)
+                split += (len(kept) > 0) - (len(comps) > 1)
                 new = (mask | vbit, nbr | vadj, kept + ((cmask, cnbr),))
-            sets = sets[:k] + (new,) + sets[k + 1 :]
+                sets = sets[:k] + (new,) + sets[k + 1 :]
         v += 1

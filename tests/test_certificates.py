@@ -18,6 +18,7 @@ from unchoosable import (
     verify_minor_free,
     verify_not_colorable,
 )
+from unchoosable.certificates import CheckResult
 
 from conftest import oracle_has_minor
 
@@ -84,6 +85,71 @@ def test_witness_t_mismatch_rejected():
     for t, sets in ((True, [[0]]), (1.0, [[0]]), ("1", [[0]]), (True, [["0"]])):
         cert = {"kind": "branch-set-positive", "t": t, "branch_sets": sets}
         assert not check_certificate(cert, k2).ok, (t, sets)
+
+
+# a pendant vertex 4 on K_4, and a K_4, K_3, K_2 and K_1 witness of it
+G5 = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+G5_WITNESSES = ([[0], [1], [2], [3]], [[0], [1], [2, 3, 4]], [[0, 1], [3, 4]], [[4]])
+ODD = (
+    st.none() | st.booleans() | st.floats() | st.text(max_size=2)
+    | st.dictionaries(st.text(max_size=1), st.integers(), max_size=2)
+)
+
+
+def true_witness(g: Graph, sets) -> bool:
+    """Disjoint sets of vertices of `g`, each connected, pairwise joined
+    by an edge: walked over the edge set, without the package."""
+    edges = set(g.edges) | {(v, u) for u, v in g.edges}
+    flat = [v for bs in sets for v in bs]
+    if len(flat) != len(set(flat)) or not all(0 <= v < g.n for v in flat):
+        return False
+    for bs in sets:
+        seen, todo = {bs[0]}, [bs[0]]
+        while todo:
+            u = todo.pop()
+            for v in bs:
+                if (u, v) in edges and v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        if len(seen) != len(bs):
+            return False
+    return all(
+        any((u, v) in edges for u in a for v in b)
+        for i, a in enumerate(sets) for b in sets[i + 1:]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_witness_reader_never_raises(data):
+    """A witness of G5 with a few edits (an id retyped as the bool, float
+    or string of its value, or moved; a set or the list of sets swapped
+    for another JSON value; t given, wrong or mistyped) gets a verdict,
+    never an exception.  It is refused when an id is not a JSON integer,
+    and accepted exactly when it is a true witness whose t, if given,
+    counts its sets."""
+    sets = [list(bs) for bs in data.draw(st.sampled_from(G5_WITNESSES))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        bs = data.draw(st.sampled_from(sets))
+        j = data.draw(st.integers(0, len(bs) - 1))
+        v = bs[j] if type(bs[j]) is int else 0
+        bs[j] = data.draw(st.sampled_from([v == 1, float(v), str(v), v + 1, -1, 5]))
+    doc = {"branch_sets": sets}
+    if data.draw(st.booleans()):
+        doc["kind"] = "branch-set-positive"
+    if data.draw(st.booleans()):
+        doc["t"] = data.draw(st.sampled_from([len(sets), len(sets) + 1]) | ODD)
+    if data.draw(st.integers(0, 9)) == 0:
+        sets[data.draw(st.integers(0, len(sets) - 1))] = data.draw(ODD)
+    if data.draw(st.integers(0, 9)) == 0:
+        doc["branch_sets"] = data.draw(ODD)
+    res = check_certificate(doc, G5)
+    assert type(res) is CheckResult
+    well_typed = doc["branch_sets"] is sets and all(
+        type(bs) is list and all(type(v) is int for v in bs) for bs in sets
+    )
+    t_ok = type(doc.get("t", len(sets))) is int and doc.get("t", len(sets)) == len(sets)
+    assert res.ok == (well_typed and t_ok and true_witness(G5, sets)), (doc, res)
 
 
 def test_dropped_class_rejected(bundles):

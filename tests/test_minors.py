@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -302,6 +303,11 @@ def test_each_reduction_rule_keeps_the_oracle_answer(rule, fired, first_t):
     for _ in range(30):
         base = random_graph(rng, rng.randint(4, 6), 0.7)
         cases += [(subdivided(base), base, t) for t in (4, 5, 6)]
+    # `_reduce` returns nothing when the count test decides, so t = 6
+    # needs bases with the 15 edges a K_6 does
+    for _ in range(10):
+        base = random_graph(rng, 7, 0.8)
+        cases.append((subdivided(base), base, 6))
     for g, same, t in cases:
         adj, members = minors._reduce(adjacency_masks(g), g.n, t)
         if not fired(g, members):
@@ -401,6 +407,39 @@ def test_edge_bound_short_circuits():
     g = Graph.from_edges(30, [(i, i + 1) for i in range(29)])
     ans = has_clique_minor(g, 9)
     assert not ans.contains and ans.nodes == 0
+
+
+def test_count_decided_negatives_build_no_masks(monkeypatch):
+    # more clique vertices than graph vertices, or fewer edges than K_t
+    # has: answered before any adjacency mask is built
+    forbid_adjacency_masks(monkeypatch)
+    cases = [(Graph.from_edges(0, []), 1), (complete(3), 4), (complete(6), 7)]
+    cases += [(cycle(5), 4), (cycle(30), 9), (complete_multipartite([1, 5]), 4)]
+    for g, t in cases:
+        ans = has_clique_minor(g, t)
+        assert (ans.contains, ans.witness, ans.nodes) == (False, None, 0), (g, t)
+
+
+# sha256 of the corpus below as the kernel answered it before its
+# per-call bookkeeping was reworked: any change to an answer, a node
+# count or a witness of `has_clique_minor`, or to `hadwiger_number`,
+# changes it
+KERNEL_DIGEST = "18e81588733c09e9dabb83160555fd712904bf687fa6bb78da6eba5f438282a0"
+
+
+def test_kernel_outputs_keep_their_digest():
+    # 4200 queries: about half decided by counting, the rest positives
+    # (a third with merged branch sets) and searched negatives
+    rng = random.Random(2411)
+    h = hashlib.sha256()
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7]))
+        for t in range(1, 8):
+            ans = has_clique_minor(g, t)
+            w = ans.witness.branch_sets if ans.witness else None
+            h.update(repr((g.n, g.edges, t, ans.contains, ans.nodes, w)).encode())
+        h.update(repr(hadwiger_number(g)).encode())
+    assert h.hexdigest() == KERNEL_DIGEST
 
 
 def test_timeout_raises():
