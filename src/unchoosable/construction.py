@@ -37,8 +37,9 @@ exactly when their classes differ.  Compositional mode reads the
 classes, so its gadget work is O(q + r): an independent set lies inside
 one class, and a clique meets each class at most once.  Direct mode
 lays each copy's edges out from the classes (`build`), then checks the
-same test for every proper root coloring on the materialized graph and
-lists, and the degeneracy.
+same test for every proper root coloring, and the degeneracy, on the
+materialized graph's lists and its sorted neighbour lists, one row per
+vertex with the roots 0..r-1 as the row's prefix.
 
 This module is the one place that knows the construction-certificate
 format.  A certificate is accepted by running the verifier that wrote
@@ -53,13 +54,14 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConstructionRefuted, InvalidArgumentError, ResourceLimitError
-from .graphs import VERTEX_CAP, Graph, degeneracy, neighbour_sets
+from .graphs import VERTEX_CAP, Graph, degeneracy, neighbour_lists
 from .listcolor import ListAssignment
 
 CASES = ("a", "b", "c")
@@ -169,12 +171,6 @@ def _distinct_classes(part_of: Sequence[int], vertices: Sequence[int]) -> bool:
     return len({part_of[v] for v in vertices}) == len(vertices)
 
 
-def _pairwise_adjacent(nbrs: Sequence[set[int]], vertices: Iterable[int]) -> bool:
-    """Whether `vertices` are pairwise adjacent in the neighbour sets
-    `nbrs`; a repeated vertex fails, being no neighbour of itself."""
-    return all(b in nbrs[a] for a, b in itertools.combinations(vertices, 2))
-
-
 def check_vector(params: ConstructionParams, c: Sequence[int]) -> tuple[int, ...]:
     vec = tuple(int(x) for x in c)
     if len(vec) != params.r:
@@ -209,27 +205,16 @@ def _w_list(q: int, ci: int) -> tuple[int, ...]:
     return tuple(x for x in range(1, q + 2) if x != ci)
 
 
-def _hall_blocked(
-    nbrs: Sequence[set[int]], lists: Sequence, pinned: dict, clique: Sequence[int]
-) -> tuple[bool, set[int]]:
-    """The Hall test for one root coloring: with `pinned` colored as it
-    maps, each member of `clique` keeps the colors of its list that no
-    pinned neighbour has.  Shut out when `clique` is a clique of the
-    neighbour sets `nbrs` keeping fewer colors than members; returns
-    that verdict and the colors kept."""
-    free = set()
-    for s in clique:
-        taken = {pinned[v] for v in nbrs[s] if v in pinned}
-        free.update(x for x in lists[s] if x not in taken)
-    return _pairwise_adjacent(nbrs, clique) and len(free) < len(clique), free
-
-
 def _class_hall(
     tpl: GadgetTemplate, q: int, vec: tuple[int, ...]
 ) -> tuple[bool, set[int]]:
-    """`_hall_blocked` on the gadget copy for vec, read from the
-    template's classes in O(q + r) without its edges: the roots pinned
-    to vec, the clique `own`, the lists of `gadget_lists`.
+    """The Hall test on the gadget copy for vec, read from the
+    template's classes in O(q + r) without its edges.  With the roots
+    pinned to vec, each member of `own` keeps the colors of its list in
+    `gadget_lists` that no root adjacent to it holds; the copy is shut
+    out when `own` is a clique keeping fewer colors than it has members.
+    Returns that verdict and the colors kept.  `_direct_blocked` makes
+    the same test on a built graph's sorted neighbour rows.
 
     A set is a clique when no two members share a class, and a member
     keeps the colors of its list that no root outside its class holds.
@@ -254,11 +239,11 @@ def _class_hall(
 
 def gadget_blocked_detail(params: ConstructionParams, c: Sequence[int]) -> dict:
     """Decide whether the gadget copy for vector c shuts out the root
-    coloring c: the Hall test of `_hall_blocked`, read from the
-    template's classes (`_class_hall`), its roots pinned to c and its
-    clique the w_i (plus the apex in case c).  A vector repeating a
-    color on the pairwise adjacent roots is vacuously blocked, as status
-    improper-root."""
+    coloring c: the Hall test of `_class_hall`, read from the template's
+    classes with no edges and no neighbour rows, its roots pinned to c
+    and its clique the w_i (plus the apex in case c).  A vector
+    repeating a color on the pairwise adjacent roots is vacuously
+    blocked, as status improper-root."""
     vec = check_vector(params, c)
     if not vector_is_proper(vec):
         return {"vector": list(vec), "status": "improper-root", "blocked": True}
@@ -448,14 +433,15 @@ def verify_not_colorable(
     params: ConstructionParams,
     mode: str = "compositional",
     built: tuple[Graph, ListAssignment] | None = None,
-    nbrs: Sequence[set[int]] | None = None,
+    rows: Sequence[list[int]] | None = None,
 ) -> dict:
     """Certify the pasted graph is not colorable from its lists: every
     proper root coloring is some vector, whose gadget copy cannot be
     completed.  Compositional mode decides one representative per class
     of `color_pattern_classes`, whose sizes must sum to q^r; direct mode
-    checks every copy of the materialized graph (`_direct_blocked`),
-    reading `nbrs`, the neighbour sets of built's graph, if given."""
+    checks every copy of the materialized graph (`_direct_blocked`) on
+    its sorted neighbour lists, where the roots 0..r-1 are each row's
+    prefix.  `rows` are built's `neighbour_lists`, if already made."""
     if mode not in ("direct", "compositional"):
         raise InvalidArgumentError(f"unknown verification mode {mode!r}")
     q, r = params.q, params.r
@@ -464,13 +450,13 @@ def verify_not_colorable(
     )
     if mode == "direct":
         g, la = built if built is not None else build(params)
-        if nbrs is None:
-            nbrs = neighbour_sets(g)
+        if rows is None:
+            rows = neighbour_lists(g)
         return {
             **head,
             "n": g.n,
             "palette_size": la.palette_size,
-            "blocked_copies": _direct_blocked(params, g, la, nbrs),
+            "blocked_copies": _direct_blocked(params, g, la, rows),
             "total_vectors": q**r,
         }
 
@@ -502,28 +488,61 @@ def verify_not_colorable(
 
 
 def _direct_blocked(
-    params: ConstructionParams, g: Graph, la: ListAssignment, nbrs: Sequence[set[int]]
+    params: ConstructionParams, g: Graph, la: ListAssignment, rows: Sequence[list[int]]
 ) -> int:
-    """`_hall_blocked` on the materialized graph g, whose neighbour sets
-    are `nbrs`: the roots 0..r-1 must be a clique, and each proper root
-    coloring from their lists, of rank k in `build`'s order of [1,q]^r,
-    must be shut out by copy k's own vertices.  Returns the copies
-    checked, q!/(q-r)!."""
+    """The Hall test of `_class_hall` on the materialized graph g, whose
+    `neighbour_lists` are `rows`: the roots 0..r-1 must be a clique, and
+    each proper root coloring from their lists, of rank k in `build`'s
+    order of [1,q]^r, must be shut out by copy k, the ids from
+    r + k*size on.  Returns the copies checked, q!/(q-r)!.
+
+    Every adjacency used is read off a row.  The rows ascend, so a
+    vertex's root neighbours are its row's prefix of ids in [0, r).
+    Root i's prefix must be the other roots.  A copy member loses the
+    colors of its root neighbours from its list, held as an int mask,
+    and the rest of its row must start with the copy's other ids, so
+    the copy is a clique.  A row out of order or with repeats, as a
+    `Graph` given unsorted or repeated edges has, can hide adjacency
+    from these tests but never invent it: a graph they accept has every
+    edge the proof uses."""
     q, r = params.q, params.r
     size = len(gadget_template(params).own)
-    if la.n != g.n or g.n < r or not _pairwise_adjacent(nbrs, range(r)):
+    if la.n != g.n or g.n < r or any(
+        rows[i][: r - 1] != [*range(i), *range(i + 1, r)] for i in range(r)
+    ):
         raise ConstructionRefuted(f"roots 0..{r - 1} are not a clique of the graph")
+    step = [size * q ** (r - 1 - i) for i in range(r)]  # ids per unit of entry i
+    base = r - sum(step)  # so copy 0, for vector (1,...,1), starts at id r
+    list_masks: dict[tuple[int, ...], int] = {}
     blocked = 0
     for vec in filter(vector_is_proper, itertools.product(*la.lists[:r])):
-        k = functools.reduce(lambda k, x: k * q + x - 1, vec, 0)  # rank in [1,q]^r
-        own = range(r + k * size, r + (k + 1) * size)
-        if not all(1 <= x <= q for x in vec) or own.stop > g.n:
+        lo = base + sum(map(operator.mul, vec, step))
+        hi = lo + size
+        if not all(1 <= x <= q for x in vec) or hi > g.n:
             raise ConstructionRefuted(f"root coloring {vec} has no gadget copy")
-        ok, free = _hall_blocked(nbrs, la.lists, dict(enumerate(vec)), own)
-        if not ok:
+        held = [1 << x for x in vec]
+        clique = True
+        free = 0
+        for s in range(lo, hi):
+            row = rows[s]
+            taken = p = 0
+            for v in row:
+                if not 0 <= v < r:
+                    break
+                taken |= held[v]
+                p += 1
+            if row[p : p + size - 1] != [*range(lo, s), *range(s + 1, hi)]:
+                clique = False
+            colors = la.lists[s]
+            mask = list_masks.get(colors)
+            if mask is None:
+                mask = list_masks[colors] = sum(1 << x for x in set(colors))
+            free |= mask & ~taken
+        if not clique or free.bit_count() >= size:
+            kept = [x for x in range(free.bit_length()) if free >> x & 1]
             raise ConstructionRefuted(
-                f"copy {k} of row {params.case}{params.t} keeps colors "
-                f"{sorted(free)} under root coloring {vec}",
+                f"copy {(lo - r) // size} of row {params.case}{params.t} keeps "
+                f"colors {kept} under root coloring {vec}",
                 vector=vec,
             )
         blocked += 1
@@ -531,12 +550,12 @@ def _direct_blocked(
 
 
 def verify_degeneracy(
-    params: ConstructionParams, built: Graph, nbrs: Sequence[set[int]] | None = None
+    params: ConstructionParams, built: Graph, rows: Sequence[list[int]] | None = None
 ) -> dict:
     """Every list in the construction has size q, so q-degeneracy is
-    what makes the family tight against greedy coloring.  `nbrs` are
-    built's neighbour sets, if already made."""
-    res = degeneracy(built, nbrs)
+    what makes the family tight against greedy coloring.  `rows` are
+    built's sorted `neighbour_lists`, if already made."""
+    res = degeneracy(built, rows)
     if res.degeneracy > params.q:
         raise ConstructionRefuted(
             f"graph for case {params.case}, t={params.t} has degeneracy "
@@ -551,20 +570,21 @@ def verify_construction(
     """Full pipeline: minor-freeness plus non-colorability, bundled with
     the instance manifest.  Direct mode materializes the graph (subject
     to VERTEX_CAP) and adds the degeneracy check; both read the graph's
-    neighbour sets, built once.  Every step is counted or checked, none
-    searched, so no step takes a time budget."""
+    `neighbour_lists`, made once: one ascending row per vertex, with the
+    roots 0..r-1 as each row's prefix.  Every step is counted or
+    checked, none searched, so no step takes a time budget."""
     built = build(params) if mode == "direct" else None
-    nbrs = neighbour_sets(built[0]) if built else None
+    rows = neighbour_lists(built[0]) if built else None
     bundle = {
         "kind": "construction-verified",
         "manifest": build_stats(params).manifest("full" if built else "stats-only"),
         "children": [
             verify_minor_free(params),
-            verify_not_colorable(params, mode=mode, built=built, nbrs=nbrs),
+            verify_not_colorable(params, mode=mode, built=built, rows=rows),
         ],
     }
     if built:
-        bundle["degeneracy"] = verify_degeneracy(params, built[0], nbrs)
+        bundle["degeneracy"] = verify_degeneracy(params, built[0], rows)
     return bundle
 
 

@@ -6,6 +6,11 @@ lexicographically sorted) so that equal graphs compare equal and every
 serialization is canonical.  A `Graph` is exactly those two fields and
 holds no derived state.
 
+A vertex's neighbours are one ascending list, read off the sorted edges
+by `neighbour_lists` in O(n+m).  The lowest ids lead every row, so in a
+built construction, whose roots are ids 0..r-1, the roots a vertex meets
+are its row's prefix.  `degeneracy` and direct verify read these rows.
+
 A vertex set is an int mask, bit v for vertex v.  `adjacency_masks`
 builds a graph's masks, n²/16 bytes, and is called only by the two
 search kernels, `minors.has_clique_minor` and `listcolor.l_colorable`;
@@ -195,16 +200,22 @@ def paste(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequence[int]) -> Graph:
     return Graph(n=fresh, edges=tuple(sorted(edges)))
 
 
-def neighbour_sets(g: Graph) -> list[set[int]]:
-    """Each vertex's neighbours as a set, in O(n+m), not n²/16 bytes."""
-    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+def neighbour_lists(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours as one list, in O(n+m), not n²/16 bytes.
+
+    The stored edges are sorted, so every row comes out ascending with
+    no sort: v's lower neighbours, from the edges (u, v), come before its
+    higher ones, from the edges (v, w).  A `Graph` built directly with
+    unsorted or repeated edges gets the same neighbours, out of order or
+    repeated."""
+    rows: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return nbrs
+        rows[u].append(v)
+        rows[v].append(u)
+    return rows
 
 
-def degeneracy(g: Graph, nbrs: Sequence[set[int]] | None = None) -> DegeneracyResult:
+def degeneracy(g: Graph, rows: Sequence[list[int]] | None = None) -> DegeneracyResult:
     """Min-degree elimination with lowest-id tie-break.
 
     The reported degeneracy equals the largest minimum degree over all
@@ -217,16 +228,17 @@ def degeneracy(g: Graph, nbrs: Sequence[set[int]] | None = None) -> DegeneracyRe
     to it if it fell below; an entry whose vertex was removed, or whose
     degree changed since the push, is skipped when it reaches the top.
     Each edge pushes once, so the worst case is O((n+m) log n) time and
-    O(n+m) space, from `neighbour_sets` without the adjacency masks.  A
-    caller that already holds `neighbour_sets(g)` passes them as `nbrs`;
-    they are only read.
+    O(n+m) space, from the sorted rows of `neighbour_lists` without the
+    adjacency masks; only the rows' lengths and members are read, not
+    their order.  A caller that already holds `neighbour_lists(g)`
+    passes them as `rows`; they are only read.
     """
     # imported on first use: compositional verify orders no vertices
     from heapq import heappop, heappush
 
-    if nbrs is None:
-        nbrs = neighbour_sets(g)
-    deg = [len(row) for row in nbrs]  # -1 once removed
+    if rows is None:
+        rows = neighbour_lists(g)
+    deg = [len(row) for row in rows]  # -1 once removed
     heaps: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     for v, dv in enumerate(deg):
         heaps[dv].append(v)  # ascending, so already a heap
@@ -245,7 +257,7 @@ def degeneracy(g: Graph, nbrs: Sequence[set[int]] | None = None) -> DegeneracyRe
             d = cur
         deg[v] = -1
         order.append(v)
-        for u in nbrs[v]:
+        for u in rows[v]:
             du = deg[u] - 1
             if du >= 0:  # live: v is its neighbour, so its degree was >= 1
                 deg[u] = du

@@ -37,7 +37,9 @@ from unchoosable import (
     verify_not_colorable,
 )
 from unchoosable import certificates, construction, graphs, minors
-from unchoosable.graphs import neighbour_sets
+from unchoosable.graphs import neighbour_lists
+
+from conftest import adjacency_sets
 
 
 def test_parameter_table_rows():
@@ -126,17 +128,34 @@ def _class_facts(tpl, pp, seed):
     )
 
 
+def _pairwise_adjacent(nbrs, vertices) -> bool:
+    """Whether `vertices` are pairwise adjacent in the neighbour sets
+    `nbrs`; a repeated vertex fails, being no neighbour of itself."""
+    return all(b in nbrs[a] for a, b in itertools.combinations(vertices, 2))
+
+
+def _hall_blocked(nbrs, lists, pinned: dict, clique) -> tuple[bool, set[int]]:
+    """The Hall test for one root coloring, on edges: with `pinned`
+    colored as it maps, each member of `clique` keeps the colors of its
+    list that no pinned neighbour has.  Shut out when `clique` is a
+    clique of the neighbour sets `nbrs` keeping fewer colors than
+    members; returns that verdict and the colors kept."""
+    free = set()
+    for s in clique:
+        taken = {pinned[v] for v in nbrs[s] if v in pinned}
+        free.update(x for x in lists[s] if x not in taken)
+    return _pairwise_adjacent(nbrs, clique) and len(free) < len(clique), free
+
+
 def _edge_facts(tpl, graph, pp, seed):
-    """The same facts from `graph`'s edges and neighbour sets."""
-    nbrs = neighbour_sets(graph)
+    """The same facts from `graph`'s edges and neighbour sets, by the
+    edge-level oracles above."""
+    nbrs = adjacency_sets(graph)
     return (
         [counting_bound(graph, parts) for parts in _partitions(tpl)],
+        [_pairwise_adjacent(nbrs, s) for s in (tpl.root_clique, tpl.own)],
         [
-            construction._pairwise_adjacent(nbrs, s)
-            for s in (tpl.root_clique, tpl.own)
-        ],
-        [
-            construction._hall_blocked(
+            _hall_blocked(
                 nbrs,
                 gadget_lists(pp, vec).lists,
                 dict(zip(tpl.root_clique, vec)),
@@ -521,7 +540,7 @@ def test_compositional_verify_and_check_lay_out_no_edges(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an edge-level helper was called")
 
-    for name in ("complete_multipartite", "neighbour_sets", "counting_bound"):
+    for name in ("complete_multipartite", "neighbour_lists", "counting_bound"):
         for module in (construction, graphs, minors, certificates):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
@@ -538,16 +557,16 @@ def test_compositional_verify_and_check_lay_out_no_edges(monkeypatch):
         assert res.ok, (row, res.reason)
 
 
-def test_direct_verify_builds_the_graph_neighbour_sets_once(monkeypatch):
-    # the Hall test and the degeneracy order share one set per vertex
+def test_direct_verify_builds_the_graph_neighbour_lists_once(monkeypatch):
+    # the Hall test and the degeneracy order share one list per vertex
     sizes = []
 
     def counted(g):
         sizes.append(g.n)
-        return neighbour_sets(g)
+        return neighbour_lists(g)
 
-    monkeypatch.setattr(construction, "neighbour_sets", counted)
-    monkeypatch.setattr(graphs, "neighbour_sets", counted)
+    monkeypatch.setattr(construction, "neighbour_lists", counted)
+    monkeypatch.setattr(graphs, "neighbour_lists", counted)
     pp = params_for("a", 1)
     bundle = verify_construction(pp, mode="direct")
     assert sizes.count(build_stats(pp).n_vertices) == 1
@@ -636,6 +655,35 @@ def test_direct_refutes_a_copy_missing_an_edge():
     assert err.value.vector == (1, 2)
     # a missing root edge leaves repeated root colors unblocked
     loose = Graph.from_edges(g.n, [e for e in g.edges if e != (0, 1)])
+    with pytest.raises(ConstructionRefuted, match="not a clique"):
+        verify_not_colorable(pp, mode="direct", built=(loose, la))
+
+
+def _swapped(g, old, new) -> Graph:
+    """g with edge `old` replaced, in its place, by a repeat of `new`:
+    the edge count stays, and the edges are no longer sorted nor
+    distinct, as only a Graph built directly, skipping from_edges, can
+    hold them."""
+    assert old in g.edges and new in g.edges
+    return Graph(g.n, tuple(new if e == old else e for e in g.edges))
+
+
+def test_direct_refutes_a_missing_edge_hidden_by_a_repeat():
+    # the neighbour rows of such a graph are out of order and repeat a
+    # vertex; the adjacency they show can only be short, so the proof
+    # fails, and only by a refutation
+    pp = params_for("b", 1)
+    g, la = build(pp)
+    w1, w2 = _copy_of(pp, (1, 2))
+    torn = _swapped(g, (w1, w2), (0, w2))
+    assert torn.m == g.m and l_colorable(torn, la).colorable
+    with pytest.raises(ConstructionRefuted, match=r"copy 1 .*\(1, 2\)") as err:
+        verify_not_colorable(pp, mode="direct", built=(torn, la))
+    assert err.value.vector == (1, 2)
+    # root 0's edge into copy 0 in place of the root edge: the proof,
+    # which blocks repeated root colors by that edge, no longer holds
+    loose = _swapped(g, (0, 1), (0, w1 - 1))
+    assert loose.m == g.m
     with pytest.raises(ConstructionRefuted, match="not a clique"):
         verify_not_colorable(pp, mode="direct", built=(loose, la))
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -22,12 +23,12 @@ from unchoosable import (
 from unchoosable.graphs import (
     adjacency_masks,
     components,
-    neighbour_sets,
+    neighbour_lists,
     reaches_all,
     union_over,
 )
 
-from conftest import oracle_degeneracy, random_graph
+from conftest import adjacency_sets, oracle_degeneracy, random_graph
 
 
 def test_from_edges_normalizes_and_dedupes():
@@ -47,11 +48,49 @@ def test_from_edges_rejects_bad_input():
 
 def test_adjacency_and_degrees():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    nbrs = neighbour_sets(g)
+    nbrs = neighbour_lists(g)
     assert [len(row) for row in nbrs] == [3, 1, 1, 1]
-    assert nbrs[0] == {1, 2, 3}
+    assert nbrs[0] == [1, 2, 3]
     assert 2 in nbrs[0] and 2 not in nbrs[1]
     assert adjacency_masks(g) == [0b1110, 0b1, 0b1, 0b1]
+
+
+# every row whose direct build fits under the vertex cap
+BUILDABLE = ("a1", "b1", "c1", "c2", "b2")
+
+
+def test_neighbour_lists_are_the_sorted_neighbour_sets():
+    # one pass over the sorted edges leaves each row strictly ascending,
+    # so direct verify may read a row's prefix as its low neighbours
+    rng = random.Random(1201)
+    graphs = [
+        random_graph(rng, rng.randint(0, 40), rng.choice([0.05, 0.2, 0.5, 0.9]))
+        for _ in range(150)
+    ]
+    graphs += [build(params_for(row[0], int(row[1:])))[0] for row in BUILDABLE]
+    for g in graphs:
+        rows = neighbour_lists(g)
+        assert len(rows) == g.n
+        for row, want in zip(rows, adjacency_sets(g)):
+            assert all(a < b for a, b in zip(row, row[1:])), row
+            assert row == sorted(want)
+
+
+def test_neighbour_lists_take_under_a_third_of_set_rows():
+    # traced bytes, not time: on b2's graph (5188 vertices, 23334
+    # edges) the lists peak at about 0.8 MB, one set per vertex at 4.2 MB
+    g, _ = build(params_for("b", 2))
+
+    def peak(make) -> int:
+        tracemalloc.start()
+        try:
+            rows = make(g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    lists, sets = peak(neighbour_lists), peak(adjacency_sets)
+    assert 3 * lists <= sets, (lists, sets)
 
 
 def test_graph_holds_only_its_two_fields():
@@ -94,7 +133,7 @@ def test_k_1_r_times_2_extra_vertex_dominates():
     # K_{1,2x2}: the apex, vertex 4, meets every other vertex
     g = complete_multipartite([2] * 2 + [1])
     assert g.n == 5 and g.m == 8
-    assert neighbour_sets(g)[4] == {0, 1, 2, 3}
+    assert neighbour_lists(g)[4] == [0, 1, 2, 3]
     assert {(0, 1), (2, 3)}.isdisjoint(g.edges)
 
 
@@ -180,7 +219,7 @@ def test_degeneracy_known_values():
 def test_degeneracy_elimination_order_property():
     # along the elimination order, each vertex sees at most d later ones
     g = complete_multipartite([2] * 3 + [1])
-    nbrs = neighbour_sets(g)
+    nbrs = neighbour_lists(g)
     res = degeneracy(g)
     order = res.elimination_order
     assert sorted(order) == list(range(g.n))
@@ -201,7 +240,7 @@ def test_degeneracy_matches_subgraph_oracle():
 
 def naive_elimination_order(g: Graph) -> tuple[int, ...]:
     # remove the alive vertex of least (degree, id), one linear scan each
-    nbr = neighbour_sets(g)
+    nbr = adjacency_sets(g)
     alive = set(range(g.n))
     order = []
     while alive:
@@ -222,7 +261,7 @@ def test_degeneracy_order_matches_naive_scan():
         res = degeneracy(g)
         order = naive_elimination_order(g)
         assert res.elimination_order == order
-        nbrs = neighbour_sets(g)
+        nbrs = adjacency_sets(g)
         alive = set(range(g.n))
         most = 0
         for v in order:
@@ -272,7 +311,7 @@ def test_degeneracy_edge_cases_match_naive_scan(g):
     res = degeneracy(g)
     order = naive_elimination_order(g)
     assert res.elimination_order == order
-    nbrs = neighbour_sets(g)
+    nbrs = adjacency_sets(g)
     alive = set(range(g.n))
     most = 0
     for v in order:
@@ -331,7 +370,7 @@ def test_reaches_all_means_one_component():
 def test_union_over_is_a_set_union():
     for rng, g, subsets in walk_instances():
         table = [rng.getrandbits(8) for _ in range(g.n)]
-        adj, nbrs = adjacency_masks(g), neighbour_sets(g)
+        adj, nbrs = adjacency_masks(g), neighbour_lists(g)
         for within in subsets:
             want = set()
             for u in within:

@@ -57,8 +57,8 @@ def test_verifier_runs_no_list_coloring_solver():
 
 def test_verifier_keeps_one_adjacency_representation():
     """The gadget's layout is arithmetic and its adjacency is read from
-    its classes or from neighbour sets: no bitmasks, no mask clique
-    test, no labels, and no edge list of the gadget."""
+    its classes or from sorted neighbour lists: no bitmasks, no mask
+    clique test, no labels, and no edge list of the gadget."""
     names = {"adj", "is_clique", "labels", "matching_pairs", "complete_multipartite"}
     found = _uses(VERIFIER, names)
     assert not found, f"construction.py reaches a second adjacency: {found}"

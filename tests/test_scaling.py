@@ -8,9 +8,10 @@ it about 1.6.
 
 Direct mode's degeneracy order must grow near-linearly in the graph's
 size: four times the vertices and edges may take at most eight times
-as long, a loose factor for a noisy machine (about 5 measured).  The
-two sizes are timed in turn, so a slow stretch of the machine falls on
-both."""
+as long, a loose factor for a noisy machine (about 5 measured).  It is
+timed in CPU seconds of this process (`time.process_time`), which the
+load of other processes does not add to, and the two sizes are timed in
+turn, so a slow stretch of the machine falls on both."""
 
 import json
 import math
@@ -67,9 +68,9 @@ def _chorded_cycle(n: int) -> Graph:
 
 
 def _degeneracy_time(g: Graph) -> float:
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     res = degeneracy(g)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     assert (res.degeneracy, len(res.elimination_order)) == (4, g.n)
     return elapsed
 
