@@ -37,9 +37,11 @@ exactly when their classes differ.  Compositional mode reads the
 classes, so its gadget work is O(q + r): an independent set lies inside
 one class, and a clique meets each class at most once.  Direct mode
 lays each copy's edges out from the classes (`build`), then checks the
-same test for every proper root coloring, and the degeneracy, on the
-materialized graph's lists and its sorted neighbour lists, one row per
-vertex with the roots 0..r-1 as the row's prefix.
+same test for every proper root coloring on the materialized graph's
+lists and its sorted neighbour lists, one row per vertex with the
+roots 0..r-1 as the row's prefix.  From the same rows it certifies the
+graph q-degenerate by the construction's own order (copy ids r..n-1
+ascending, then the roots), never running a degeneracy elimination.
 
 This module is the one place that knows the construction-certificate
 format.  A certificate is accepted by running the verifier that wrote
@@ -56,12 +58,13 @@ import itertools
 import math
 import operator
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .errors import ConstructionRefuted, InvalidArgumentError, ResourceLimitError
-from .graphs import VERTEX_CAP, Graph, degeneracy, neighbour_lists
+from .graphs import VERTEX_CAP, Graph, neighbour_lists
 from .listcolor import ListAssignment
 
 CASES = ("a", "b", "c")
@@ -552,16 +555,61 @@ def _direct_blocked(
 def verify_degeneracy(
     params: ConstructionParams, built: Graph, rows: Sequence[list[int]] | None = None
 ) -> dict:
-    """Every list in the construction has size q, so q-degeneracy is
-    what makes the family tight against greedy coloring.  `rows` are
-    built's sorted `neighbour_lists`, if already made."""
-    res = degeneracy(built, rows)
-    if res.degeneracy > params.q:
+    """Certify that `built` is exactly q-degenerate by the construction's
+    own order, not by computing one.  Every list in the construction
+    has size q, so q-degeneracy is what makes the family tight against
+    greedy coloring.  `rows` are built's sorted `neighbour_lists`, if
+    already made.
+
+    Upper bound: in the order copy ids r..n-1 ascending, then roots
+    0..r-1 ascending, no vertex may have more than q later neighbours.
+    A root has at most r-1 later vertices at all, and r-1 <= q since
+    q + 2 is 2r or 2r+1, so only copy vertices are counted, and only
+    those whose rows are longer than q: a copy vertex's later
+    neighbours are its row's root prefix and the ids above it, found by
+    `bisect`.  Lower bound: the roots and copy 0, the ids below
+    r + size, form a gadget, so each must have q neighbours among them.
+    A failure raises ConstructionRefuted naming the vertex, its count
+    and q.  The check reads every row's length and a few entries of the
+    rows it counts, where the min-heap elimination of
+    `graphs.degeneracy` visits every edge.
+
+    A row out of order or with repeats cannot make either bound pass
+    falsely: a copy vertex's count falls back to its whole row unless
+    the entries taken as earlier are ids between r and its own, and the
+    lower bound counts distinct ids only."""
+    q, r = params.q, params.r
+    gadget = r + len(gadget_template(params).own)  # the roots and copy 0
+    where = f"graph for case {params.case}, t={params.t}"
+    if built.n < gadget:
         raise ConstructionRefuted(
-            f"graph for case {params.case}, t={params.t} has degeneracy "
-            f"{res.degeneracy}, above q={params.q}"
+            f"{where} has {built.n} vertices, fewer than its roots and copy 0"
         )
-    return {"degeneracy": res.degeneracy, "bound": params.q}
+    if rows is None:
+        rows = neighbour_lists(built)
+    for v, row in enumerate(rows[r:], r):
+        if len(row) <= q:
+            continue
+        p = bisect_left(row, r)  # its root neighbours, all later than v
+        j = bisect_left(row, v, p)  # row[p:j]: the copy ids below v
+        later = len(row) - (j - p)
+        if j - p > 1 and not r <= min(row[p:j]) <= max(row[p:j]) < v:
+            later = len(row)
+        if later > q:
+            raise ConstructionRefuted(
+                f"{where} is not q-degenerate in the construction's order: "
+                f"vertex {v} has {later} later neighbours, above q={q}"
+            )
+    for v in range(gadget):
+        row = rows[v]
+        inner = {u for u in row[: bisect_left(row, gadget)] if u < gadget}
+        inner.discard(v)
+        if len(inner) < q:
+            raise ConstructionRefuted(
+                f"{where} has degeneracy below q: vertex {v} of the roots and "
+                f"copy 0 has {len(inner)} neighbours among them, fewer than q={q}"
+            )
+    return {"degeneracy": q, "bound": q}
 
 
 def verify_construction(
@@ -569,9 +617,9 @@ def verify_construction(
 ) -> dict:
     """Full pipeline: minor-freeness plus non-colorability, bundled with
     the instance manifest.  Direct mode materializes the graph (subject
-    to VERTEX_CAP) and adds the degeneracy check; both read the graph's
-    `neighbour_lists`, made once: one ascending row per vertex, with the
-    roots 0..r-1 as each row's prefix.  Every step is counted or
+    to VERTEX_CAP) and adds the check of its degeneracy order; both read
+    the graph's `neighbour_lists`, made once: one ascending row per
+    vertex, with the roots 0..r-1 as each row's prefix.  Every step is counted or
     checked, none searched, so no step takes a time budget."""
     built = build(params) if mode == "direct" else None
     rows = neighbour_lists(built[0]) if built else None

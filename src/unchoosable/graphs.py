@@ -9,7 +9,9 @@ holds no derived state.
 A vertex's neighbours are one ascending list, read off the sorted edges
 by `neighbour_lists` in O(n+m).  The lowest ids lead every row, so in a
 built construction, whose roots are ids 0..r-1, the roots a vertex meets
-are its row's prefix.  `degeneracy` and direct verify read these rows.
+are its row's prefix.  `degeneracy` reads these rows, and so does
+direct verify, which checks the construction's own degeneracy order on
+them instead of running `degeneracy`.
 
 A vertex set is an int mask, bit v for vertex v.  `adjacency_masks`
 builds a graph's masks, n²/16 bytes, and is called only by the two
@@ -215,7 +217,7 @@ def neighbour_lists(g: Graph) -> list[list[int]]:
     return rows
 
 
-def degeneracy(g: Graph, rows: Sequence[list[int]] | None = None) -> DegeneracyResult:
+def degeneracy(g: Graph) -> DegeneracyResult:
     """Min-degree elimination with lowest-id tie-break.
 
     The reported degeneracy equals the largest minimum degree over all
@@ -230,14 +232,12 @@ def degeneracy(g: Graph, rows: Sequence[list[int]] | None = None) -> DegeneracyR
     Each edge pushes once, so the worst case is O((n+m) log n) time and
     O(n+m) space, from the sorted rows of `neighbour_lists` without the
     adjacency masks; only the rows' lengths and members are read, not
-    their order.  A caller that already holds `neighbour_lists(g)`
-    passes them as `rows`; they are only read.
+    their order.
     """
-    # imported on first use: compositional verify orders no vertices
+    # imported on first use: no verify orders vertices, only this function
     from heapq import heappop, heappush
 
-    if rows is None:
-        rows = neighbour_lists(g)
+    rows = neighbour_lists(g)
     deg = [len(row) for row in rows]  # -1 once removed
     heaps: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     for v, dv in enumerate(deg):

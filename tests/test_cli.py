@@ -698,16 +698,18 @@ def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_direct_b2_verify_and_check_run_no_search():
     # b2 direct: 5188 vertices.  verify and the replay in check-cert each
-    # build the graph and check its degeneracy and the Hall test on its
-    # 360 blocked copies, all linear in its size; the solver's refutation
-    # they ran before took about half a second in each.
+    # build the graph, check the construction's degeneracy order and the
+    # Hall test on its 360 blocked copies, all linear in its size; the
+    # solver's refutation they ran before took about half a second in
+    # each.  Timed in CPU seconds of this process, which the load of
+    # other processes does not add to.
     params = params_for("b", 2)
     best = float("inf")
     for _ in range(3):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         bundle = verify_construction(params, mode="direct")
         res = check_certificate(json.loads(json.dumps(bundle)))
-        best = min(best, time.perf_counter() - t0)
+        best = min(best, time.process_time() - t0)
         assert res.ok, res.reason
     assert bundle["children"][1]["blocked_copies"] == 360
     assert best < 0.6, best

@@ -732,17 +732,47 @@ def test_verify_not_colorable_refutes_unblocked_gadget(monkeypatch):
 
 
 def test_verify_construction_refutes_degeneracy_above_q(monkeypatch):
+    # a1 plus (3, 7): vertex 3, w_0 of copy 0, gains a fifth later
+    # neighbour.  Copy 1, ids 6..8, is for the improper vector (1,1,2),
+    # so the Hall pass never reads vertex 7's row.
     import unchoosable.construction as cons
 
-    real = cons.degeneracy
+    real = cons.build
 
-    def fake(g, *rest):
-        res = real(g, *rest)
-        return dataclasses.replace(res, degeneracy=res.degeneracy + 10)
+    def fake(params):
+        g, la = real(params)
+        return Graph.from_edges(g.n, g.edges + ((3, 7),)), la
 
-    monkeypatch.setattr(cons, "degeneracy", fake)
-    with pytest.raises(ConstructionRefuted, match="degeneracy"):
-        cons.verify_construction(params_for("b", 1), mode="direct")
+    monkeypatch.setattr(cons, "build", fake)
+    with pytest.raises(ConstructionRefuted, match="vertex 3 has 5 later neighbours"):
+        cons.verify_construction(params_for("a", 1), mode="direct")
+
+
+def _a1_with(add=(), drop=()):
+    pp = params_for("a", 1)
+    g, _ = build(pp)
+    edges = set(g.edges).union(add).difference(drop)
+    return pp, Graph.from_edges(g.n, edges)
+
+
+def test_verify_degeneracy_refutes_what_the_order_rules_out():
+    # (0, 3) is (v_0, w_0) of copy 0: the heap still finds degeneracy
+    # 4 = q, yet the graph has a K_5 minor, and vertex 3 gets a fifth
+    # later neighbour in the construction's order
+    pp, g = _a1_with(add=[(0, 3)])
+    assert graphs.degeneracy(g).degeneracy == pp.q
+    assert has_clique_minor(g, pp.p).contains
+    with pytest.raises(
+        ConstructionRefuted, match=r"vertex 3 has 5 later neighbours, above q=4"
+    ):
+        verify_degeneracy(pp, g)
+    # without the root edge (0, 4) of copy 0, root 0 has three
+    # neighbours among the roots and copy 0, so they are no gadget
+    pp, g = _a1_with(drop=[(0, 4)])
+    with pytest.raises(
+        ConstructionRefuted, match=r"vertex 0 of the roots and copy 0 has 3 neighbours"
+    ):
+        verify_degeneracy(pp, g)
 
 
 def test_verify_not_colorable_refutes_uncovered_vectors(monkeypatch):
@@ -755,13 +785,41 @@ def test_verify_not_colorable_refutes_uncovered_vectors(monkeypatch):
         cons.verify_construction(params_for("a", 1), mode="compositional")
 
 
+def test_verify_degeneracy_is_not_fooled_by_unsorted_or_repeated_rows():
+    # Graph(n, edges) keeps edges as given, so rows can come out of
+    # order or repeat a vertex.  Vertex 5 of a1, w_2 of copy 0, given
+    # later neighbours 100..102 in this row order: a bisect alone takes
+    # [3, 100, 4] as its earlier ids and counts 4 later neighbours.
+    pp = params_for("a", 1)
+    g, _ = build(pp)
+    mine = [(0, 5), (1, 5), (3, 5), (5, 100), (4, 5), (5, 101), (5, 102)]
+    h = Graph(g.n, tuple(e for e in g.edges if 5 not in e) + tuple(mine))
+    assert neighbour_lists(h)[5] == [0, 1, 3, 100, 4, 101, 102]
+    with pytest.raises(ConstructionRefuted, match="vertex 5 has 7 later neighbours"):
+        verify_degeneracy(pp, h)
+    # root edge (0, 4) of copy 0 replaced by a repeat of (0, 5): root 0's
+    # row still has four entries among the roots and copy 0, three distinct
+    h = Graph(g.n, tuple(sorted([e for e in g.edges if e != (0, 4)] + [(0, 5)])))
+    with pytest.raises(
+        ConstructionRefuted, match=r"vertex 0 of the roots and copy 0 has 3 neighbours"
+    ):
+        verify_degeneracy(pp, h)
+
+
 def test_verify_degeneracy_values():
-    for case, want in [("b", 2), ("a", 4), ("c", 1)]:
-        pp = params_for(case, 1)
+    # the order check states q; the heap of graphs.degeneracy must agree
+    for row in ("a1", "b1", "c1", "c2", "b2"):
+        pp = params_for(row[0], int(row[1:]))
         g, _ = build(pp)
         res = verify_degeneracy(pp, g)
-        assert res == {"degeneracy": want, "bound": pp.q}
-        assert res["degeneracy"] <= res["bound"]
+        assert res == {"degeneracy": pp.q, "bound": pp.q}, row
+        assert res["degeneracy"] == graphs.degeneracy(g).degeneracy, row
+    # (5, 6) joins the last vertex of copy 0 to the first of copy 1: each
+    # keeps at most q later neighbours, so the order check refutes only
+    # what the order rules out
+    pp, g = _a1_with(add=[(5, 6)])
+    assert verify_degeneracy(pp, g) == {"degeneracy": 4, "bound": 4}
+    assert graphs.degeneracy(g).degeneracy == 4
 
 
 def test_verify_construction_bundles():

@@ -24,7 +24,7 @@ def _verify(mode, row):
 COMMANDS = {
     **{
         f"verify-direct-{row}.json": _verify("direct", row)
-        for row in ("b1", "c1", "a1")
+        for row in ("b1", "c1", "a1", "c2", "b2")
     },
     **{
         f"verify-compositional-{row}.json": _verify("compositional", row)

@@ -23,13 +23,15 @@ KERNELS = {
 
 
 def _uses(path: Path, names: set[str]) -> list[str]:
-    """Imports, attribute accesses and bare names in `path` that are in
-    `names`, as 'line N: name'."""
+    """Imports, the modules imported from, attribute accesses and bare
+    names in `path` that are in `names`, as 'line N: name'."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             used = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                used.append(node.module.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Attribute):
             used = [node.attr]
         elif isinstance(node, ast.Name):
@@ -53,6 +55,13 @@ def test_verifier_searches_for_no_minor():
 def test_verifier_runs_no_list_coloring_solver():
     found = _uses(VERIFIER, {"l_colorable"})
     assert not found, f"construction.py reaches the list-coloring solver: {found}"
+
+
+def test_verifier_runs_no_degeneracy_heap():
+    """Direct verify checks the construction's own vertex order, so it
+    neither calls `graphs.degeneracy` nor keeps a heap of its own."""
+    found = _uses(VERIFIER, {"degeneracy", "heapq"})
+    assert not found, f"construction.py reaches the degeneracy heap: {found}"
 
 
 def test_verifier_keeps_one_adjacency_representation():
