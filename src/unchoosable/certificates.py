@@ -32,7 +32,7 @@ not bools, strings or floats.
 from __future__ import annotations
 
 import marshal
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construction import (
     _class_bound,
@@ -59,8 +59,7 @@ KINDS = (
 _MANIFEST_MODES = {"full": "direct", "stats-only": "compositional"}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     reason: str
 

@@ -7,6 +7,12 @@ minor-free, certificate rejected), 2 a usage or input error, 3 a
 resource limit, a timeout, or any other failure inside the tool; an
 internal failure never ends in 1.  With --json, stdout carries one JSON
 document; human-readable lines otherwise.
+
+Only argparse, json and the error types are imported with this module;
+each command imports the modules it calls when it runs, so a fresh
+process loads no more of the package than its command needs (`table`
+and a compositional `verify` never load the graph, coloring or file
+modules).
 """
 
 from __future__ import annotations
@@ -15,14 +21,6 @@ import argparse
 import json
 import sys
 
-from .certificates import check_certificate
-from .construction import (
-    build,
-    build_stats,
-    lower_bound_table,
-    params_for,
-    verify_construction,
-)
 from .errors import (
     ConstructionRefuted,
     InvalidArgumentError,
@@ -31,11 +29,6 @@ from .errors import (
     ResourceLimitError,
     SearchTimeout,
 )
-from .graphs import degeneracy as graph_degeneracy
-from .graphs import paste
-from .graphio import read_graph, read_json, write_graph, write_json
-from .listcolor import l_colorable, precoloring_from_json_dict, read_list_assignment
-from .minors import has_clique_minor
 
 
 def _emit(doc: dict, text: str, as_json: bool) -> None:
@@ -53,6 +46,9 @@ def _parse_ids(raw: str) -> tuple[int, ...]:
 
 
 def _cmd_build(args) -> int:
+    from .construction import build, build_stats, params_for
+    from .graphio import write_graph, write_json
+
     params = params_for(args.case, args.t)
     stats = build_stats(params)
     if args.stats_only:
@@ -81,6 +77,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .construction import params_for, verify_construction
+
     params = params_for(args.case, args.t)
     try:
         cert = verify_construction(params, mode=args.mode)
@@ -88,6 +86,8 @@ def _cmd_verify(args) -> int:
         print(f"refuted: {exc}", file=sys.stderr)
         return 1
     if args.cert:
+        from .graphio import write_json
+
         write_json(args.cert, cert)
     _emit(
         cert,
@@ -99,6 +99,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_minor(args) -> int:
+    from .graphio import read_graph, write_json
+    from .minors import has_clique_minor
+
     g = read_graph(args.input)
     ans = has_clique_minor(g, args.target, timeout=args.timeout)
     if ans.contains:
@@ -125,6 +128,9 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from .graphio import read_graph, read_json, write_json
+    from .listcolor import l_colorable, precoloring_from_json_dict, read_list_assignment
+
     g = read_graph(args.graph)
     la = read_list_assignment(args.lists)
     pre = None
@@ -149,8 +155,11 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_degeneracy(args) -> int:
+    from .graphio import read_graph
+    from .graphs import degeneracy
+
     g = read_graph(args.input)
-    res = graph_degeneracy(g)
+    res = degeneracy(g)
     _emit(
         {
             "degeneracy": res.degeneracy,
@@ -163,6 +172,9 @@ def _cmd_degeneracy(args) -> int:
 
 
 def _cmd_paste(args) -> int:
+    from .graphio import read_graph, write_graph
+    from .graphs import paste
+
     g1 = read_graph(args.g1)
     g2 = read_graph(args.g2)
     s1 = _parse_ids(args.clique1)
@@ -178,6 +190,8 @@ def _cmd_paste(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .construction import lower_bound_table
+
     rows = lower_bound_table()
     if args.json:
         print(json.dumps({str(p): row for p, row in rows.items()}, indent=2))
@@ -192,6 +206,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check_cert(args) -> int:
+    from .certificates import check_certificate
+    from .graphio import read_graph, read_json
+
     cert = read_json(args.cert)
     graph = read_graph(args.graph) if args.graph else None
     res = check_certificate(cert, graph)

@@ -48,6 +48,11 @@ format.  A certificate is accepted by running the verifier that wrote
 it again and requiring an equal document, so every check lives here:
 a property that fails raises ConstructionRefuted rather than being
 recorded as a false field.
+
+Only `build`, `gadget_lists` and the direct-mode steps import `graphs`
+and `listcolor`, when they run: the parameter rows, the table and
+compositional mode are arithmetic on the classes, and a process that
+runs only them never loads the graph or coloring code.
 """
 
 from __future__ import annotations
@@ -59,19 +64,18 @@ import math
 import operator
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import ConstructionRefuted, InvalidArgumentError, ResourceLimitError
-from .graphs import VERTEX_CAP, Graph, neighbour_lists
-from .listcolor import ListAssignment
+
+if TYPE_CHECKING:
+    from .graphs import Graph
+    from .listcolor import ListAssignment
 
 CASES = ("a", "b", "c")
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(NamedTuple):
     case: str
     t: int
     p: int
@@ -113,8 +117,7 @@ def params_for(case: str, t: int) -> ConstructionParams:
     return ConstructionParams(case=case, t=t, p=p, q=q, r=r, gadget_kind=kind)
 
 
-@dataclass(frozen=True)
-class GadgetTemplate:
+class GadgetTemplate(NamedTuple):
     """One gadget copy before any lists are attached.
 
     pairs holds the deleted matching (v_i, w_i) in pair order; its v_i
@@ -135,7 +138,7 @@ class GadgetTemplate:
     own: tuple[int, ...]
     part_of: tuple[int, ...]
 
-    @cached_property
+    @property
     def root_clique(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.pairs)
 
@@ -195,6 +198,8 @@ def vector_is_proper(c: Sequence[int]) -> bool:
 def gadget_lists(params: ConstructionParams, c: Sequence[int]) -> ListAssignment:
     """Lists over the template: w_i avoids c_i within [1,q+1], every
     other vertex gets [1,q]."""
+    from .listcolor import ListAssignment
+
     vec = check_vector(params, c)
     tpl = gadget_template(params)
     rows = [tuple(range(1, params.q + 1))] * len(tpl.part_of)
@@ -280,8 +285,7 @@ def color_pattern_classes(
     return classes
 
 
-@dataclass(frozen=True)
-class ConstructionStats:
+class ConstructionStats(NamedTuple):
     params: ConstructionParams
     n_vertices: int
     n_edges: int
@@ -328,6 +332,9 @@ def build(params: ConstructionParams) -> tuple[Graph, ListAssignment]:
     that order: the w_i with lists [1,q+1] minus c_i, then in case c the
     apex with list [1,q].  Raises ResourceLimitError above VERTEX_CAP;
     use build_stats for the counts instead."""
+    from .graphs import VERTEX_CAP, Graph
+    from .listcolor import ListAssignment
+
     stats = build_stats(params)
     if stats.n_vertices > VERTEX_CAP:
         raise ResourceLimitError(
@@ -454,6 +461,8 @@ def verify_not_colorable(
     if mode == "direct":
         g, la = built if built is not None else build(params)
         if rows is None:
+            from .graphs import neighbour_lists
+
             rows = neighbour_lists(g)
         return {
             **head,
@@ -494,10 +503,12 @@ def _direct_blocked(
     params: ConstructionParams, g: Graph, la: ListAssignment, rows: Sequence[list[int]]
 ) -> int:
     """The Hall test of `_class_hall` on the materialized graph g, whose
-    `neighbour_lists` are `rows`: the roots 0..r-1 must be a clique, and
-    each proper root coloring from their lists, of rank k in `build`'s
-    order of [1,q]^r, must be shut out by copy k, the ids from
-    r + k*size on.  Returns the copies checked, q!/(q-r)!.
+    `neighbour_lists` are `rows`: the roots 0..r-1 must be a clique,
+    each listing exactly [1,q], and each proper root coloring, of rank k
+    in `build`'s order of [1,q]^r, must be shut out by copy k, the ids
+    from r + k*size on.  The proper colorings are the r-permutations of
+    [1,q], walked in that same order, so the repeated vectors are never
+    generated.  Returns the copies checked, q!/(q-r)!.
 
     Every adjacency used is read off a row.  The rows ascend, so a
     vertex's root neighbours are its row's prefix of ids in [0, r).
@@ -514,14 +525,22 @@ def _direct_blocked(
         rows[i][: r - 1] != [*range(i), *range(i + 1, r)] for i in range(r)
     ):
         raise ConstructionRefuted(f"roots 0..{r - 1} are not a clique of the graph")
+    full = tuple(range(1, q + 1))
+    for i, colors in enumerate(la.lists[:r]):
+        if tuple(colors) != full:
+            raise ConstructionRefuted(
+                f"root {i} lists {list(colors)}, not [1,{q}]: the copies are one "
+                f"per vector of [1,{q}]^{r}, so a color outside [1,{q}] has no "
+                "gadget copy and one left out leaves copies unchecked"
+            )
     step = [size * q ** (r - 1 - i) for i in range(r)]  # ids per unit of entry i
     base = r - sum(step)  # so copy 0, for vector (1,...,1), starts at id r
     list_masks: dict[tuple[int, ...], int] = {}
     blocked = 0
-    for vec in filter(vector_is_proper, itertools.product(*la.lists[:r])):
+    for vec in itertools.permutations(full, r):
         lo = base + sum(map(operator.mul, vec, step))
         hi = lo + size
-        if not all(1 <= x <= q for x in vec) or hi > g.n:
+        if hi > g.n:
             raise ConstructionRefuted(f"root coloring {vec} has no gadget copy")
         held = [1 << x for x in vec]
         clique = True
@@ -586,6 +605,8 @@ def verify_degeneracy(
             f"{where} has {built.n} vertices, fewer than its roots and copy 0"
         )
     if rows is None:
+        from .graphs import neighbour_lists
+
         rows = neighbour_lists(built)
     for v, row in enumerate(rows[r:], r):
         if len(row) <= q:
@@ -621,8 +642,12 @@ def verify_construction(
     the graph's `neighbour_lists`, made once: one ascending row per
     vertex, with the roots 0..r-1 as each row's prefix.  Every step is counted or
     checked, none searched, so no step takes a time budget."""
-    built = build(params) if mode == "direct" else None
-    rows = neighbour_lists(built[0]) if built else None
+    built = rows = None
+    if mode == "direct":
+        from .graphs import neighbour_lists
+
+        built = build(params)
+        rows = neighbour_lists(built[0])
     bundle = {
         "kind": "construction-verified",
         "manifest": build_stats(params).manifest("full" if built else "stats-only"),

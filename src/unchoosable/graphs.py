@@ -3,8 +3,8 @@ pasting, degeneracy orderings, and the walks over vertex masks.
 
 Vertices are dense 0-based ids.  Edges are stored normalized (u < v,
 lexicographically sorted) so that equal graphs compare equal and every
-serialization is canonical.  A `Graph` is exactly those two fields and
-holds no derived state.
+serialization is canonical.  A `Graph` is a NamedTuple of exactly those
+two fields and holds no derived state.
 
 A vertex's neighbours are one ascending list, read off the sorted edges
 by `neighbour_lists` in O(n+m).  The lowest ids lead every row, so in a
@@ -23,8 +23,7 @@ here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidArgumentError, PreconditionError
 
@@ -83,12 +82,12 @@ def components(adj: Sequence[int], within: int) -> list[int]:
     return parts
 
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+class Graph(NamedTuple):
     """Undirected simple graph on vertices 0..n-1.
 
     Immutable and hashable, hence safely shareable across concurrent
-    readers.  Slotted, so nothing derived can be cached on it.
+    readers.  A NamedTuple of its two fields, with no instance dict, so
+    nothing derived can be cached on it.
     """
 
     n: int
@@ -134,8 +133,7 @@ def adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class DegeneracyResult:
+class DegeneracyResult(NamedTuple):
     """Outcome of the min-degree elimination process.
 
     Removing vertices in `elimination_order`, every vertex has at most

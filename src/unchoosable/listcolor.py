@@ -50,8 +50,7 @@ failing part used to come after others.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidArgumentError, PreconditionError, SearchTimeout
 from .graphio import read_json
@@ -62,8 +61,7 @@ from .graphs import Graph, adjacency_masks, components, reaches_all, union_over
 _TIMEOUT_CHECK_EVERY = 256
 
 
-@dataclass(frozen=True)
-class ListAssignment:
+class ListAssignment(NamedTuple):
     """Immutable per-vertex color lists over palette [1, palette_size]."""
 
     palette_size: int
@@ -129,8 +127,7 @@ def precoloring_from_json_dict(doc: object) -> dict[int, int]:
     return {int(k): c for k, c in doc.items()}
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     colorable: bool
     coloring: tuple[int, ...] | None
     backtracks: int

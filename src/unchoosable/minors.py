@@ -60,8 +60,7 @@ which is tight for the construction's gadgets.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidArgumentError, SearchTimeout
 from .graphs import Graph, adjacency_masks, union_over
@@ -70,8 +69,7 @@ from .graphs import Graph, adjacency_masks, union_over
 _TIMEOUT_CHECK_EVERY = 1024
 
 
-@dataclass(frozen=True)
-class BranchSetWitness:
+class BranchSetWitness(NamedTuple):
     """Disjoint connected vertex sets, pairwise joined by an edge."""
 
     branch_sets: tuple[tuple[int, ...], ...]
@@ -102,14 +100,13 @@ class BranchSetWitness:
         return cls(branch_sets=tuple(map(tuple, raw)))
 
 
-@dataclass(frozen=True)
-class MinorAnswer:
+class MinorAnswer(NamedTuple):
     contains: bool
     witness: BranchSetWitness | None
     nodes: int
 
 
-# the answer of every query decided without a search; frozen, so shared
+# the answer of every query decided without a search; immutable, so shared
 _NO_MINOR = MinorAnswer(False, None, 0)
 
 

@@ -28,7 +28,7 @@ from unchoosable import (
     write_adjacency_json,
     write_graph6,
 )
-from unchoosable import cli
+from unchoosable import cli, listcolor
 from unchoosable.cli import main
 from unchoosable.graphs import VERTEX_CAP
 from unchoosable.listcolor import precoloring_from_json_dict, read_list_assignment
@@ -690,7 +690,7 @@ def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "l_colorable", crash)
+    monkeypatch.setattr(listcolor, "l_colorable", crash)
     code, _, err = run(["color", "--graph", str(gp), "--lists", str(lp)], capsys)
     assert_internal_failure(code, err)
     assert "RecursionError" in err

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import json
 import random
@@ -200,14 +199,14 @@ def test_class_level_checks_equal_the_edge_level_ones():
             part_of = list(tpl.part_of)
             for s in tpl.own:
                 part_of[s] = rng.randrange(pp.r + 1)
-            other = dataclasses.replace(tpl, part_of=tuple(part_of))
+            other = tpl._replace(part_of=tuple(part_of))
             assert _class_facts(other, pp, seed=t) == _edge_facts(
                 other, _multipartite(part_of), pp, seed=t
             ), (case, t, part_of)
         # a class map that is wrong about one vertex is caught: the apex
         # (case c), or else the last w_i, put in pair 0's class
         last = len(tpl.part_of) - 1
-        wrong = dataclasses.replace(tpl, part_of=tpl.part_of[:last] + (0,))
+        wrong = tpl._replace(part_of=tpl.part_of[:last] + (0,))
         assert _class_facts(wrong, pp, seed=t) != edges, (case, t)
 
 
@@ -436,7 +435,7 @@ def test_build_edges_are_canonical(case, t):
 def test_build_respects_vertex_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         build(params_for("a", 2))
-    monkeypatch.setattr(construction, "VERTEX_CAP", 5)
+    monkeypatch.setattr(graphs, "VERTEX_CAP", 5)
     with pytest.raises(ResourceLimitError) as err:
         build(params_for("b", 1))
     assert "full build needs 10 vertices, cap is 5; use stats-only" in str(err.value)
@@ -565,7 +564,6 @@ def test_direct_verify_builds_the_graph_neighbour_lists_once(monkeypatch):
         sizes.append(g.n)
         return neighbour_lists(g)
 
-    monkeypatch.setattr(construction, "neighbour_lists", counted)
     monkeypatch.setattr(graphs, "neighbour_lists", counted)
     pp = params_for("a", 1)
     bundle = verify_construction(pp, mode="direct")
@@ -698,6 +696,19 @@ def test_direct_refutes_a_root_color_outside_the_copies():
         wider = _with_lists(la, {pp.r - 1: range(1, pp.q + 2)})
         with pytest.raises(ConstructionRefuted, match="no gadget copy"):
             verify_not_colorable(pp, mode="direct", built=(g, wider))
+
+
+def test_direct_refutes_a_root_list_missing_a_color():
+    # the copies are laid out one per vector of [1,q]^r: a root list
+    # short of a color would leave the copies for it unchecked, and the
+    # count of blocked copies short of q!/(q-r)!
+    for row in ("b1", "a1", "c2"):
+        pp = params_for(row[0], int(row[1:]))
+        g, la = build(pp)
+        narrower = _with_lists(la, {0: range(2, pp.q + 1)})
+        want = rf"root 0 lists .*not \[1,{pp.q}\]"
+        with pytest.raises(ConstructionRefuted, match=want):
+            verify_not_colorable(pp, mode="direct", built=(g, narrower))
 
 
 def test_direct_refutes_a_w_list_given_back_its_color():

@@ -96,7 +96,7 @@ def test_neighbour_lists_take_under_a_third_of_set_rows():
 def test_graph_holds_only_its_two_fields():
     # the kernels build their adjacency masks per call and cache nothing
     # on the graph, which has no room for it
-    assert Graph.__slots__ == ("n", "edges")
+    assert Graph._fields == ("n", "edges")
     g = complete_multipartite([2, 2, 2])
     ans = has_clique_minor(g, 4)
     assert ans.contains and check_witness(g, ans.witness)
@@ -104,6 +104,8 @@ def test_graph_holds_only_its_two_fields():
     assert degeneracy(g).degeneracy == 4
     assert write_graph6(g)
     assert not hasattr(g, "__dict__")
+    with pytest.raises(AttributeError):
+        g.n = 7
 
 
 def test_complete_multipartite_octahedron():
