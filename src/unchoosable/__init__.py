@@ -28,7 +28,6 @@ _EXPORTS = {
     "graphs": (
         "DegeneracyResult",
         "Graph",
-        "complete_multipartite",
         "degeneracy",
         "paste",
     ),
@@ -45,10 +44,9 @@ _EXPORTS = {
         "MinorAnswer",
         "check_witness",
         "counting_bound",
-        "hadwiger_number",
         "has_clique_minor",
     ),
-    "listcolor": ("ListAssignment", "SolveResult", "check_coloring", "l_colorable"),
+    "listcolor": ("ListAssignment", "SolveResult", "l_colorable"),
     "construction": (
         "ConstructionParams",
         "ConstructionStats",
@@ -57,7 +55,6 @@ _EXPORTS = {
         "build_stats",
         "color_pattern_classes",
         "gadget_blocked_detail",
-        "gadget_lists",
         "gadget_template",
         "lower_bound_table",
         "params_for",

@@ -129,10 +129,10 @@ def _cmd_minor(args) -> int:
 
 def _cmd_color(args) -> int:
     from .graphio import read_graph, read_json, write_json
-    from .listcolor import l_colorable, precoloring_from_json_dict, read_list_assignment
+    from .listcolor import ListAssignment, l_colorable, precoloring_from_json_dict
 
     g = read_graph(args.graph)
-    la = read_list_assignment(args.lists)
+    la = ListAssignment.from_json_dict(read_json(args.lists))
     pre = None
     if args.precolor:
         pre = precoloring_from_json_dict(read_json(args.precolor))

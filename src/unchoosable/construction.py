@@ -49,10 +49,10 @@ it again and requiring an equal document, so every check lives here:
 a property that fails raises ConstructionRefuted rather than being
 recorded as a false field.
 
-Only `build`, `gadget_lists` and the direct-mode steps import `graphs`
-and `listcolor`, when they run: the parameter rows, the table and
-compositional mode are arithmetic on the classes, and a process that
-runs only them never loads the graph or coloring code.
+Only `build` and the direct-mode steps import `graphs` and `listcolor`,
+when they run: the parameter rows, the table and compositional mode are
+arithmetic on the classes, and a process that runs only them never
+loads the graph or coloring code.
 """
 
 from __future__ import annotations
@@ -195,19 +195,6 @@ def vector_is_proper(c: Sequence[int]) -> bool:
     return len(set(c)) == len(c)
 
 
-def gadget_lists(params: ConstructionParams, c: Sequence[int]) -> ListAssignment:
-    """Lists over the template: w_i avoids c_i within [1,q+1], every
-    other vertex gets [1,q]."""
-    from .listcolor import ListAssignment
-
-    vec = check_vector(params, c)
-    tpl = gadget_template(params)
-    rows = [tuple(range(1, params.q + 1))] * len(tpl.part_of)
-    for (_, w), ci in zip(tpl.pairs, vec):
-        rows[w] = _w_list(params.q, ci)
-    return ListAssignment.from_lists(params.q + 1, rows)
-
-
 def _w_list(q: int, ci: int) -> tuple[int, ...]:
     """The list of w_i under a vector whose i-th entry is ci."""
     return tuple(x for x in range(1, q + 2) if x != ci)
@@ -219,8 +206,9 @@ def _class_hall(
     """The Hall test on the gadget copy for vec, read from the
     template's classes in O(q + r) without its edges.  With the roots
     pinned to vec, each member of `own` keeps the colors of its list in
-    `gadget_lists` that no root adjacent to it holds; the copy is shut
-    out when `own` is a clique keeping fewer colors than it has members.
+    that copy (`_w_list` for w_i, [1,q] for the apex) that no root
+    adjacent to it holds; the copy is shut out when `own` is a clique
+    keeping fewer colors than it has members.
     Returns that verdict and the colors kept.  `_direct_blocked` makes
     the same test on a built graph's sorted neighbour rows.
 

@@ -18,7 +18,7 @@ import json
 import re
 
 from .errors import InvalidArgumentError, ParseError, ResourceLimitError
-from .graphs import VERTEX_CAP, Graph
+from .graphs import GRAPH6_BYTE_CAP, VERTEX_CAP, Graph
 
 GRAPH6_HEADER = ">>graph6<<"
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -45,9 +45,17 @@ def _encode_size(n: int) -> bytes:
 
 
 def write_graph6(g: Graph) -> str:
-    """Canonical graph6 string for `g` (no header, no newline)."""
+    """Canonical graph6 string for `g` (no header, no newline).  Raises
+    ResourceLimitError, before allocating, when it would be longer than
+    GRAPH6_BYTE_CAP."""
     nbits = g.n * (g.n - 1) // 2
     ngroups = (nbits + 5) // 6
+    size = len(_encode_size(g.n)) + ngroups
+    if size > GRAPH6_BYTE_CAP:
+        raise ResourceLimitError(
+            f"graph6 of a graph with {g.n} vertices takes {size} bytes, cap is "
+            f"{GRAPH6_BYTE_CAP}; write adjacency JSON (.json) instead"
+        )
     # whole base64 quanta (3 bytes, 4 characters), so no '=' is emitted
     bits = bytearray((ngroups + 3) // 4 * 3)
     for u, v in g.edges:

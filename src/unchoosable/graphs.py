@@ -1,5 +1,5 @@
-"""Immutable simple graphs, the complete multipartite constructor, clique
-pasting, degeneracy orderings, and the walks over vertex masks.
+"""Immutable simple graphs, clique pasting, degeneracy orderings, and the
+walks over vertex masks.
 
 Vertices are dense 0-based ids.  Edges are stored normalized (u < v,
 lexicographically sorted) so that equal graphs compare equal and every
@@ -32,19 +32,15 @@ Edge = tuple[int, int]
 # the most vertices a construction build or an adjacency-JSON file may
 # have; a graph6 file is bounded by its own size
 VERTEX_CAP = 100_000
-
-
-def _bits(mask: int):
-    """Yield the indices of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# the longest graph6 text `write_graph6` makes, refused before it packs
+# anything: packing holds about 3.6 times the text, which grows as n²/12
+# bytes (b2's 5188 vertices take 2.2 MB, about 14 200 vertices reach it)
+GRAPH6_BYTE_CAP = 1 << 24
 
 
 def union_over(table: Sequence[int], mask: int) -> int:
     """The OR of `table[u]` over the vertices u of `mask`, walked inline:
-    on the solver's small masks a `_bits` generator costs more."""
+    on the solver's small masks a generator of the set bits costs more."""
     out = 0
     while mask:
         low = mask & -mask
@@ -143,26 +139,6 @@ class DegeneracyResult(NamedTuple):
 
     degeneracy: int
     elimination_order: tuple[int, ...]
-
-
-def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
-    """Complete multipartite graph with classes of the given sizes.
-
-    Classes occupy consecutive ids in input order; two vertices are
-    adjacent iff they lie in different classes.
-    """
-    if not part_sizes:
-        raise InvalidArgumentError("part_sizes must be non-empty")
-    for s in part_sizes:
-        if s <= 0:
-            raise InvalidArgumentError(f"class sizes must be positive, got {s}")
-    part_of = [i for i, s in enumerate(part_sizes) for _ in range(s)]
-    n = len(part_of)
-    # generated normalized and in lexicographic order, as from_edges keeps them
-    edges = tuple(
-        (u, v) for u in range(n) for v in range(u + 1, n) if part_of[u] != part_of[v]
-    )
-    return Graph(n=n, edges=edges)
 
 
 def paste(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequence[int]) -> Graph:

@@ -53,7 +53,6 @@ import time
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidArgumentError, PreconditionError, SearchTimeout
-from .graphio import read_json
 from .graphs import Graph, adjacency_masks, components, reaches_all, union_over
 
 # with a timeout the clock is read once per this many backtracks; every
@@ -131,22 +130,6 @@ class SolveResult(NamedTuple):
     colorable: bool
     coloring: tuple[int, ...] | None
     backtracks: int
-
-
-def check_coloring(g: Graph, la: ListAssignment, coloring: Iterable[int]) -> bool:
-    """True iff `coloring` is proper and drawn from the lists."""
-    colors = list(coloring)
-    if len(colors) != g.n or la.n != g.n:
-        raise InvalidArgumentError(
-            f"coloring/list length must match graph order {g.n}"
-        )
-    for v, c in enumerate(colors):
-        if c not in la.lists[v]:
-            return False
-    for u, w in g.edges:
-        if colors[u] == colors[w]:
-            return False
-    return True
 
 
 def l_colorable(
@@ -338,7 +321,3 @@ def _push_parts(parts: list[int], cut: int, goals: tuple | None) -> tuple | None
     for part in reversed(parts):
         goals = (part, cut, goals)
     return goals
-
-
-def read_list_assignment(path: str) -> ListAssignment:
-    return ListAssignment.from_json_dict(read_json(path))

@@ -204,18 +204,6 @@ def counting_bound(g: Graph, parts: Sequence[Sequence[int]]) -> int | None:
     return (g.n + len(parts)) // 2
 
 
-def hadwiger_number(g: Graph) -> int:
-    """Largest t such that K_t is a minor of `g`."""
-    if g.n < 1:
-        raise InvalidArgumentError("hadwiger number needs at least one vertex")
-    best = 1
-    for t in range(2, g.n + 1):
-        if not has_clique_minor(g, t).contains:
-            break
-        best = t
-    return best
-
-
 # --- reductions ------------------------------------------------------------
 
 

@@ -4,6 +4,13 @@ The oracles here deliberately avoid the package's own kernels.  Minor
 containment is re-decided by enumerating set partitions of vertex
 subsets, degeneracy by scanning all induced subgraphs, list coloring by
 trying the whole list product.  Slow and obviously correct.
+
+The package keeps only what the command line and the certificate
+checker reach, so the test-only constructors and checks live here too:
+`complete_multipartite` lays a gadget out by its edges, `gadget_lists`
+assembles a copy's lists a second way from `build`, `check_coloring`
+checks a coloring against the edges and lists, and `hadwiger_number`
+runs `has_clique_minor` (not an independent oracle) for t = 2, 3, ...
 """
 
 from __future__ import annotations
@@ -11,8 +18,17 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from typing import Iterable, Sequence
 
-from unchoosable import Graph
+from unchoosable import (
+    ConstructionParams,
+    Graph,
+    InvalidArgumentError,
+    ListAssignment,
+    gadget_template,
+    has_clique_minor,
+)
+from unchoosable.construction import check_vector
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -131,3 +147,63 @@ def random_lists(
         size = rng.randint(1, max_size)
         out.append(sorted(rng.sample(range(1, palette + 1), size)))
     return out
+
+
+def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
+    """Complete multipartite graph with classes of the given sizes.
+
+    Classes occupy consecutive ids in input order; two vertices are
+    adjacent iff they lie in different classes.
+    """
+    if not part_sizes:
+        raise InvalidArgumentError("part_sizes must be non-empty")
+    for s in part_sizes:
+        if s <= 0:
+            raise InvalidArgumentError(f"class sizes must be positive, got {s}")
+    part_of = [i for i, s in enumerate(part_sizes) for _ in range(s)]
+    n = len(part_of)
+    # generated normalized and in lexicographic order, as from_edges keeps them
+    edges = tuple(
+        (u, v) for u in range(n) for v in range(u + 1, n) if part_of[u] != part_of[v]
+    )
+    return Graph(n=n, edges=edges)
+
+
+def gadget_lists(params: ConstructionParams, c: Sequence[int]) -> ListAssignment:
+    """Lists over the gadget template for vector c: w_i avoids c_i within
+    [1,q+1], every other vertex gets [1,q]."""
+    vec = check_vector(params, c)
+    tpl = gadget_template(params)
+    q = params.q
+    rows = [tuple(range(1, q + 1))] * len(tpl.part_of)
+    for (_, w), ci in zip(tpl.pairs, vec):
+        rows[w] = tuple(x for x in range(1, q + 2) if x != ci)
+    return ListAssignment.from_lists(q + 1, rows)
+
+
+def check_coloring(g: Graph, la: ListAssignment, coloring: Iterable[int]) -> bool:
+    """True iff `coloring` is proper and drawn from the lists."""
+    colors = list(coloring)
+    if len(colors) != g.n or la.n != g.n:
+        raise InvalidArgumentError(
+            f"coloring/list length must match graph order {g.n}"
+        )
+    for v, c in enumerate(colors):
+        if c not in la.lists[v]:
+            return False
+    for u, w in g.edges:
+        if colors[u] == colors[w]:
+            return False
+    return True
+
+
+def hadwiger_number(g: Graph) -> int:
+    """Largest t such that K_t is a minor of `g`."""
+    if g.n < 1:
+        raise InvalidArgumentError("hadwiger number needs at least one vertex")
+    best = 1
+    for t in range(2, g.n + 1):
+        if not has_clique_minor(g, t).contains:
+            break
+        best = t
+    return best

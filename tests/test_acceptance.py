@@ -17,11 +17,8 @@ from unchoosable import (
     build,
     build_stats,
     check_certificate,
-    complete_multipartite,
     gadget_blocked_detail,
-    gadget_lists,
     gadget_template,
-    hadwiger_number,
     has_clique_minor,
     l_colorable,
     lower_bound_table,
@@ -33,7 +30,15 @@ from unchoosable import (
 from unchoosable.graphs import adjacency_masks
 from unchoosable.minors import _grow_search
 
-from conftest import oracle_has_minor, oracle_list_colorable, random_graph, random_lists
+from conftest import (
+    complete_multipartite,
+    gadget_lists,
+    hadwiger_number,
+    oracle_has_minor,
+    oracle_list_colorable,
+    random_graph,
+    random_lists,
+)
 
 _certs: dict[str, dict] = {}
 

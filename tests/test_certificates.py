@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from unchoosable import (
     Graph,
     check_certificate,
-    complete_multipartite,
     has_clique_minor,
     params_for,
     verify_construction,
@@ -20,7 +19,7 @@ from unchoosable import (
 )
 from unchoosable.certificates import CheckResult
 
-from conftest import oracle_has_minor
+from conftest import complete_multipartite, oracle_has_minor
 
 
 @pytest.fixture(scope="module")

@@ -18,8 +18,6 @@ from unchoosable import (
     ParseError,
     ResourceLimitError,
     check_certificate,
-    check_coloring,
-    complete_multipartite,
     params_for,
     read_adjacency_json,
     read_graph,
@@ -31,7 +29,10 @@ from unchoosable import (
 from unchoosable import cli, listcolor
 from unchoosable.cli import main
 from unchoosable.graphs import VERTEX_CAP
-from unchoosable.listcolor import precoloring_from_json_dict, read_list_assignment
+from unchoosable.graphio import read_json
+from unchoosable.listcolor import precoloring_from_json_dict
+
+from conftest import check_coloring, complete_multipartite
 
 
 def run(argv, capsys):
@@ -262,6 +263,45 @@ def test_graph_above_vertex_cap_exits_3(tmp_path, capsys):
     write_text(gp, json.dumps({"n": 1_000_000_000, "edges": []}))
     code, out, err = run(["degeneracy", "--input", str(gp)], capsys)
     assert code == 3 and out == "" and err.startswith("resource limit:")
+
+
+# runs the CLI in a process whose address space is capped at 256 MB, so
+# a writer that allocates before its size check fails here rather than
+# taking gigabytes; prints the exit code and the peak RSS in kB (VmHWM:
+# getrusage's maxrss keeps the forking process's peak across exec)
+_CAPPED_CLI = """\
+import re, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from unchoosable.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(code, re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+"""
+
+
+def test_graph6_output_past_its_cap_exits_3_before_allocating(tmp_path):
+    # a 26-byte edgeless graph of 10^5 vertices pasted with K_1 would be
+    # 833 MB of graph6, and packing it would take about 3 GB
+    big, k1, out = tmp_path / "big.json", tmp_path / "k1.json", tmp_path / "x.g6"
+    write_text(big, json.dumps({"n": VERTEX_CAP, "edges": []}))
+    write_text(k1, json.dumps({"n": 1, "edges": []}))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    argv = ["paste", "--g1", str(big), "--clique1", "", "--g2", str(k1),
+            "--clique2", "", "--out", str(out)]
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 3, proc.stderr
+    assert proc.stderr.startswith("resource limit: graph6 of a graph with 100001 ")
+    assert "(.json)" in proc.stderr
+    assert peak_kb < 64 << 10, peak_kb
+    assert time.monotonic() - t0 < 5.0
+    assert not out.exists()
 
 
 def test_degeneracy_command(tmp_path, capsys):
@@ -678,7 +718,7 @@ def test_color_long_path_needs_no_recursion(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert code == 0 and err == ""
     coloring = json.loads(cp.read_text(encoding="utf-8"))["coloring"]
-    assert check_coloring(g, read_list_assignment(str(lp)), coloring)
+    assert check_coloring(g, ListAssignment.from_json_dict(read_json(str(lp))), coloring)
 
 
 def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -18,12 +18,9 @@ from unchoosable import (
     check_certificate,
     check_witness,
     color_pattern_classes,
-    complete_multipartite,
     counting_bound,
     gadget_blocked_detail,
-    gadget_lists,
     gadget_template,
-    hadwiger_number,
     has_clique_minor,
     l_colorable,
     ListAssignment,
@@ -38,7 +35,12 @@ from unchoosable import (
 from unchoosable import certificates, construction, graphs, minors
 from unchoosable.graphs import neighbour_lists
 
-from conftest import adjacency_sets
+from conftest import (
+    adjacency_sets,
+    complete_multipartite,
+    gadget_lists,
+    hadwiger_number,
+)
 
 
 def test_parameter_table_rows():
@@ -539,7 +541,7 @@ def test_compositional_verify_and_check_lay_out_no_edges(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an edge-level helper was called")
 
-    for name in ("complete_multipartite", "neighbour_lists", "counting_bound"):
+    for name in ("neighbour_lists", "counting_bound"):
         for module in (construction, graphs, minors, certificates):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

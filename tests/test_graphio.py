@@ -17,7 +17,8 @@ from unchoosable import (
     write_graph6,
 )
 
-from unchoosable.graphs import VERTEX_CAP
+from unchoosable import graphio
+from unchoosable.graphs import GRAPH6_BYTE_CAP, VERTEX_CAP
 
 from conftest import forbid_adjacency_masks, random_graph
 
@@ -178,6 +179,34 @@ def test_graph6_codec_memory_is_linear_in_its_text():
             finally:
                 tracemalloc.stop()
             assert peak < 6 * len(text), (n, codec.__name__, peak, len(text))
+
+
+def test_graph6_writer_refuses_text_past_its_cap(monkeypatch):
+    # the length follows from n alone, so the refusal comes before any
+    # buffer is packed: under a 1 kB cap, 4000 vertices (1.3 MB of text)
+    # allocate a few kB, the error and its traceback.  test_cli runs the
+    # real cap on 10^5 vertices in a process of bounded address space.
+    monkeypatch.setattr(graphio, "GRAPH6_BYTE_CAP", 1 << 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r" 4000 vertices.*\(\.json\)"):
+            write_graph6(Graph(n=4000, edges=()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+    # the cap bounds the text itself: at its length it is written, one
+    # byte shorter it is refused
+    g = random_graph(random.Random(5), 40, 0.5)
+    text = write_graph6(g)
+    monkeypatch.setattr(graphio, "GRAPH6_BYTE_CAP", len(text))
+    assert write_graph6(g) == text
+    monkeypatch.setattr(graphio, "GRAPH6_BYTE_CAP", len(text) - 1)
+    with pytest.raises(ResourceLimitError):
+        write_graph6(g)
+    # the largest row `build` makes, b2 (5188 vertices, 2.2 MB), fits
+    # several times over
+    assert 4 + (5188 * 5187 // 2 + 5) // 6 < GRAPH6_BYTE_CAP // 4
 
 
 def test_adjacency_json_roundtrip():

@@ -11,7 +11,6 @@ from unchoosable import (
     PreconditionError,
     build,
     check_witness,
-    complete_multipartite,
     degeneracy,
     has_clique_minor,
     l_colorable,
@@ -28,7 +27,12 @@ from unchoosable.graphs import (
     union_over,
 )
 
-from conftest import adjacency_sets, oracle_degeneracy, random_graph
+from conftest import (
+    adjacency_sets,
+    complete_multipartite,
+    oracle_degeneracy,
+    random_graph,
+)
 
 
 def test_from_edges_normalizes_and_dedupes():

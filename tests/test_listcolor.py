@@ -15,7 +15,6 @@ from unchoosable import (
     ListAssignment,
     PreconditionError,
     build,
-    check_coloring,
     l_colorable,
     params_for,
 )
@@ -23,7 +22,7 @@ from unchoosable.construction import verify_not_colorable
 from unchoosable.graphs import adjacency_masks
 from unchoosable.listcolor import _Domains, _order
 
-from conftest import oracle_list_colorable, random_graph, random_lists
+from conftest import check_coloring, oracle_list_colorable, random_graph, random_lists
 
 
 def cycle(n: int) -> Graph:

@@ -9,16 +9,20 @@ from unchoosable import (
     InvalidArgumentError,
     SearchTimeout,
     check_witness,
-    complete_multipartite,
     counting_bound,
-    hadwiger_number,
     has_clique_minor,
 )
 
 from unchoosable import minors
 from unchoosable.graphs import adjacency_masks, reaches_all, union_over
 
-from conftest import forbid_adjacency_masks, oracle_has_minor, random_graph
+from conftest import (
+    complete_multipartite,
+    forbid_adjacency_masks,
+    hadwiger_number,
+    oracle_has_minor,
+    random_graph,
+)
 
 
 def complete(n: int) -> Graph:

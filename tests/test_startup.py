@@ -20,13 +20,14 @@ import unchoosable
 from unchoosable import (
     build,
     check_certificate,
-    complete_multipartite,
     gadget_blocked_detail,
     has_clique_minor,
     lower_bound_table,
     params_for,
     verify_construction,
 )
+
+from conftest import complete_multipartite
 
 SRC = Path(unchoosable.__file__).resolve().parent
 ENV = dict(os.environ, PYTHONPATH=str(SRC.parent))
