@@ -42,6 +42,9 @@ lists and its sorted neighbour lists, one row per vertex with the
 roots 0..r-1 as the row's prefix.  From the same rows it certifies the
 graph q-degenerate by the construction's own order (copy ids r..n-1
 ascending, then the roots), never running a degeneracy elimination.
+`build` lays out the lists from their q+1 distinct tuples, shared by
+every vertex that has one: all copies' rows come from one product over
+the choices of each member of a copy, so no per-copy loop runs.
 
 This module is the one place that knows the construction-certificate
 format.  A certificate is accepted by running the verifier that wrote
@@ -319,7 +322,14 @@ def build(params: ConstructionParams) -> tuple[Graph, ListAssignment]:
     from r + k*len(own) on, one per vertex of the template's `own` in
     that order: the w_i with lists [1,q+1] minus c_i, then in case c the
     apex with list [1,q].  Raises ResourceLimitError above VERTEX_CAP;
-    use build_stats for the counts instead."""
+    use build_stats for the counts instead.
+
+    The lists are q+1 shared tuples.  After the r roots' rows, the rows
+    of all copies are one `itertools.product` over per-member choices:
+    w_i's row for each c_i in [1,q], then the apex's one row [1,q].  As
+    `own` holds the w_i in pair order, then the apex, the product walks
+    the vectors lexicographically, each copy's rows in a run, which is
+    the id layout above."""
     from .graphs import VERTEX_CAP, Graph
     from .listcolor import ListAssignment
 
@@ -350,13 +360,13 @@ def build(params: ConstructionParams) -> tuple[Graph, ListAssignment]:
         edges += [(i, b + s) for s in shifts for b in cross]
     inner = [(a, b) for a, b in local if a >= r]
     edges += [(a + s, b + s) for s in shifts for a, b in inner]
+    # the rows each member of `own` may have, in `own`'s order
     full = tuple(range(1, q + 1))
-    w_lists = {ci: _w_list(q, ci) for ci in full}  # shared by every copy
-    pair_of = {w: i for i, (_, w) in enumerate(tpl.pairs)}
-    slots = [pair_of.get(u) for u in tpl.own]  # w_i's pair index, None for the apex
-    rows = [full] * r
-    for vec in itertools.product(full, repeat=r):
-        rows += [full if i is None else w_lists[vec[i]] for i in slots]
+    w_rows = [_w_list(q, ci) for ci in full]
+    w_ids = {w for _, w in tpl.pairs}
+    slots = [w_rows if u in w_ids else (full,) for u in tpl.own]
+    copies = itertools.chain.from_iterable(itertools.product(*slots))
+    rows = itertools.chain([full] * r, copies)
     g = Graph(n=stats.n_vertices, edges=tuple(edges))
     # sorted and in [1, q+1] by construction, so from_lists' checks are skipped
     la = ListAssignment(palette_size=q + 1, lists=tuple(rows))

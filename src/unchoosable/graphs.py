@@ -113,9 +113,10 @@ class Graph(NamedTuple):
         vs = tuple(vertices)
         if len(set(vs)) != len(vs):
             raise InvalidArgumentError(f"duplicate vertices in {vs}")
+        n = self.n
         for v in vs:
-            if not (0 <= v < self.n):
-                raise InvalidArgumentError(f"vertex {v} out of range [0,{self.n})")
+            if not (0 <= v < n):
+                raise InvalidArgumentError(f"vertex {v} out of range [0,{n})")
         return vs
 
 

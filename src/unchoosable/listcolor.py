@@ -1,6 +1,15 @@
 """List-coloring decisions.
 
 A list assignment gives every vertex a finite set of allowed colors.
+It holds one sorted tuple per distinct list, shared by every vertex
+that has that list: the construction names only q+1 distinct lists,
+however many vertices it has.  `ListAssignment.from_lists` makes each
+row a tuple key, sorts, deduplicates and range-checks each distinct key
+once, and hands every vertex its key's tuple with one dict operation;
+only when a key fails does it name the vertex, the first that has it.
+`from_json_dict` checks the JSON types of every row and entry first, in
+one pass over the rows and one over their entries.
+
 The graph is L-colorable when a proper coloring exists that draws each
 vertex's color from its own list.  The backtracking solver numbers the
 colors that some list names in ascending order and holds the domains
@@ -50,6 +59,7 @@ failing part used to come after others.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidArgumentError, PreconditionError, SearchTimeout
@@ -61,7 +71,13 @@ _TIMEOUT_CHECK_EVERY = 256
 
 
 class ListAssignment(NamedTuple):
-    """Immutable per-vertex color lists over palette [1, palette_size]."""
+    """Immutable per-vertex color lists over palette [1, palette_size].
+
+    Equal lists are one shared tuple, in every assignment that
+    `from_lists`, `from_json_dict` or `construction.build` makes: the
+    first two sort and range-check each distinct row once, and `build`
+    lays its rows out from its q+1 tuples.  `to_json_dict` gives each
+    vertex a list of its own, so the document it returns aliases none."""
 
     palette_size: int
     lists: tuple[tuple[int, ...], ...]
@@ -72,17 +88,23 @@ class ListAssignment(NamedTuple):
     ) -> "ListAssignment":
         if palette_size < 0:
             raise InvalidArgumentError(f"palette size must be >= 0, got {palette_size}")
-        rows = []
-        for v, row in enumerate(lists):
-            colors = sorted(set(map(int, row)))
+        keys = list(map(tuple, lists))
+        # first[v]: the first vertex whose row equals v's.  `seen` holds
+        # the distinct rows in order of first appearance, so the first bad
+        # one is the first bad vertex's.
+        seen: dict[tuple, int] = {}
+        first = list(map(seen.setdefault, keys, range(len(keys))))
+        made: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal tuples shared
+        for key, v in seen.items():
+            colors = tuple(sorted(set(map(int, key))))
             # sorted, so the ends decide; the scan names the least bad color
             if colors and (colors[0] < 1 or colors[-1] > palette_size):
                 c = next(c for c in colors if not (1 <= c <= palette_size))
                 raise InvalidArgumentError(
                     f"vertex {v} lists color {c}, outside [1,{palette_size}]"
                 )
-            rows.append(tuple(colors))
-        return cls(palette_size=palette_size, lists=tuple(rows))
+            keys[v] = made.setdefault(colors, colors)  # read through `first`
+        return cls(palette_size=palette_size, lists=tuple(map(keys.__getitem__, first)))
 
     @property
     def n(self) -> int:
@@ -97,14 +119,19 @@ class ListAssignment(NamedTuple):
     @classmethod
     def from_json_dict(cls, doc: object) -> "ListAssignment":
         """Inverse of `to_json_dict`; InvalidArgumentError for any other
-        JSON value."""
+        JSON value.  Every row and entry is type-checked before
+        `from_lists` makes the rows keys: checked per distinct key, a row
+        `[true]` would pass behind an equal `[1]`."""
         raw = doc.get("lists") if isinstance(doc, dict) else None
         if not isinstance(raw, dict) or type(doc.get("palette_size")) is not int:
             raise InvalidArgumentError(
                 "list assignment needs an integer palette_size and lists"
             )
         rows = [raw.get(str(v)) for v in range(len(raw))]
-        if not all(type(r) is list and all(type(c) is int for c in r) for r in rows):
+        if not (
+            {list}.issuperset(map(type, rows))
+            and {int}.issuperset(map(type, chain.from_iterable(rows)))
+        ):
             raise InvalidArgumentError(
                 "lists must be keyed by the ids 0..n-1, each an array of integer colors"
             )

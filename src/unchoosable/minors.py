@@ -115,19 +115,20 @@ def check_witness(g: Graph, witness: BranchSetWitness) -> bool:
     adjacent in `g`.  One pass over `g.edges` unions the two ends of
     every edge inside a set (union-find) and records every pair of sets
     an edge joins: O(n+m), and no adjacency masks."""
-    owner = [-1] * g.n
+    n = g.n
+    owner = [-1] * n
     for i, bs in enumerate(witness.branch_sets):
         if not bs:
             return False
         for v in bs:
-            if not (0 <= v < g.n):
-                raise InvalidArgumentError(f"witness vertex {v} out of range [0,{g.n})")
+            if not (0 <= v < n):
+                raise InvalidArgumentError(f"witness vertex {v} out of range [0,{n})")
         for v in bs:
             if owner[v] != -1:
                 return False  # overlap between sets or repeats inside one
             owner[v] = i
     t = len(witness.branch_sets)
-    parent = list(range(g.n))
+    parent = list(range(n))
     unions = [0] * t  # a set of k vertices is connected after k-1 unions
     joined = set()
     for u, v in g.edges:
@@ -188,12 +189,13 @@ def counting_bound(g: Graph, parts: Sequence[Sequence[int]]) -> int | None:
     adjacent, so they lie in distinct parts and number s <= k; every
     other branch set has two or more vertices, so s + 2(t-s) <= n and
     2t <= n + k."""
-    part_of = [-1] * g.n
+    n = g.n
+    part_of = [-1] * n
     for i, part in enumerate(parts):
         if not part:
             return None
         for v in part:
-            if type(v) is not int or not 0 <= v < g.n or part_of[v] != -1:
+            if type(v) is not int or not 0 <= v < n or part_of[v] != -1:
                 return None
             part_of[v] = i
     if -1 in part_of:
@@ -201,7 +203,7 @@ def counting_bound(g: Graph, parts: Sequence[Sequence[int]]) -> int | None:
     for u, v in g.edges:
         if part_of[u] == part_of[v]:
             return None
-    return (g.n + len(parts)) // 2
+    return (n + len(parts)) // 2
 
 
 # --- reductions ------------------------------------------------------------

@@ -393,6 +393,26 @@ def test_build_layout_and_lists():
                 assert ((j, w) in edges) == (j != i)
 
 
+@pytest.mark.parametrize("case,t", [("a", 1), ("b", 1), ("c", 1), ("c", 2)])
+def test_build_lists_are_the_gadget_lists_of_each_vector(case, t):
+    # copy k's rows are its vector's gadget lists on `own`, in `own`'s
+    # order, and every vertex with a given list holds the one tuple of it
+    pp = params_for(case, t)
+    tpl = gadget_template(pp)
+    _, la = build(pp)
+    q, r, size = pp.q, pp.r, len(tpl.own)
+    assert la.palette_size == q + 1
+    vectors = list(itertools.product(range(1, q + 1), repeat=r))
+    assert la.n == r + len(vectors) * size
+    for k, vec in enumerate(vectors):
+        want = gadget_lists(pp, vec).lists
+        if k == 0:
+            assert la.lists[:r] == tuple(want[v] for v in tpl.root_clique)
+        lo = r + k * size
+        assert la.lists[lo : lo + size] == tuple(want[u] for u in tpl.own)
+    assert len(set(map(id, la.lists))) == len(set(la.lists)) == q + 1
+
+
 def test_build_case_c_extra_vertex():
     pp = params_for("c", 2)  # r=3, q=5, 125 copies of a 7-vertex gadget
     g, la = build(pp)

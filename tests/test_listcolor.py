@@ -71,6 +71,63 @@ def test_list_assignment_json_rejects_bad_keys():
         ListAssignment.from_json_dict({"lists": {}})
 
 
+ROWS_NOT_INTEGER_ARRAYS = (
+    "lists must be keyed by the ids 0..n-1, each an array of integer colors"
+)
+PALETTE_NOT_INTEGER = "list assignment needs an integer palette_size and lists"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"palette_size": 3, "lists": {"0": [true]}}', ROWS_NOT_INTEGER_ARRAYS),
+        ('{"palette_size": 3, "lists": {"0": [1.0]}}', ROWS_NOT_INTEGER_ARRAYS),
+        ('{"palette_size": 3, "lists": {"0": ["1"]}}', ROWS_NOT_INTEGER_ARRAYS),
+        # equal to the row before it as tuples: (True,) == (1,)
+        ('{"palette_size": 3, "lists": {"0": [1], "1": [true]}}', ROWS_NOT_INTEGER_ARRAYS),
+        ('{"palette_size": 3, "lists": {"0": [1], "1": {"0": 1}}}', ROWS_NOT_INTEGER_ARRAYS),
+        ('{"palette_size": 3, "lists": {"0": [1], "1": {}}}', ROWS_NOT_INTEGER_ARRAYS),
+        ('{"palette_size": 3, "lists": {"0": [1], "1": 2}}', ROWS_NOT_INTEGER_ARRAYS),
+        ('{"palette_size": 3, "lists": {"0": [1], "1": ""}}', ROWS_NOT_INTEGER_ARRAYS),
+        ('{"palette_size": 3, "lists": {"0": [1], "2": [1]}}', ROWS_NOT_INTEGER_ARRAYS),
+        ('{"palette_size": true, "lists": {"0": [1]}}', PALETTE_NOT_INTEGER),
+        ('{"palette_size": 2.0, "lists": {"0": [1]}}', PALETTE_NOT_INTEGER),
+        ('{"palette_size": -1, "lists": {"0": [1]}}', "palette size must be >= 0, got -1"),
+        (
+            '{"palette_size": 3, "lists": {"0": [1], "1": [7, 0, -1, 2],'
+            ' "2": [7, 0, -1, 2], "3": [-4]}}',
+            "vertex 1 lists color -1, outside [1,3]",
+        ),
+        (
+            '{"palette_size": 3, "lists": {"0": [2, 1], "1": [1, 2], "2": [3, 4],'
+            ' "3": [0]}}',
+            "vertex 2 lists color 4, outside [1,3]",
+        ),
+    ],
+)
+def test_list_assignment_json_rejections_keep_their_messages(text, message):
+    with pytest.raises(InvalidArgumentError) as err:
+        ListAssignment.from_json_dict(json.loads(text))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("case,t", [("a", 1), ("b", 2)])
+def test_equal_lists_share_one_tuple(case, t):
+    _, built = build(params_for(case, t))
+    text = json.dumps(built.to_json_dict())
+    for la in (built, ListAssignment.from_json_dict(json.loads(text))):
+        assert la == built
+        assert len(set(map(id, la.lists))) == len(set(la.lists)) == built.palette_size
+    # rows equal only once sorted and deduplicated share one tuple too
+    la = ListAssignment.from_lists(3, [[2, 1], [1, 2], (1, 2, 2), [3]])
+    assert la.lists == ((1, 2), (1, 2), (1, 2), (3,))
+    assert len(set(map(id, la.lists))) == 2
+    # the document aliases no row: editing one list leaves the others
+    doc = built.to_json_dict()
+    doc["lists"]["0"].append(99)
+    assert doc["lists"]["1"] == list(built.lists[1])
+
+
 def test_check_coloring():
     g = cycle(4)
     la = uniform(4, 2, 2)
