@@ -6,7 +6,17 @@ Its 6-bit groups are base64's (RFC 4648), most significant bit first,
 in another alphabet: so the codec packs and unpacks the n(n-1)/2 bits
 with `binascii` and maps the alphabets with one `bytes.translate`.
 Python itself takes O(n + m) steps, one per edge and per column, and
-never builds adjacency masks.  The adjacency-JSON format is
+never builds adjacency masks.  The writer holds at most about 2.25
+times its text at once: the bit buffer goes once base64 has encoded
+it, and the translated body joins the size field in one `bytearray`
+that is decoded once.
+
+A graph of at most 62 vertices (`graphs.PAIR_TABLE_N`, the one-byte
+size field's limit) is read without a column walk: the bit at position
+p names the pair `graphs.pair_table()[p]`, and the graph keeps that
+shared tuple instead of a fresh one.  The first such read builds the
+table (1891 pairs, about 115 kB); a process that reads only larger
+graphs never does.  The adjacency-JSON format is
 ``{"n": int, "edges": [[u,v], ...]}`` with edges sorted
 lexicographically; the reader ignores any other key.
 """
@@ -18,7 +28,7 @@ import json
 import re
 
 from .errors import InvalidArgumentError, ParseError, ResourceLimitError
-from .graphs import GRAPH6_BYTE_CAP, VERTEX_CAP, Graph
+from .graphs import GRAPH6_BYTE_CAP, PAIR_TABLE_N, VERTEX_CAP, Graph, pair_table
 
 GRAPH6_HEADER = ">>graph6<<"
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -50,7 +60,8 @@ def write_graph6(g: Graph) -> str:
     GRAPH6_BYTE_CAP."""
     nbits = g.n * (g.n - 1) // 2
     ngroups = (nbits + 5) // 6
-    size = len(_encode_size(g.n)) + ngroups
+    head = _encode_size(g.n)
+    size = len(head) + ngroups
     if size > GRAPH6_BYTE_CAP:
         raise ResourceLimitError(
             f"graph6 of a graph with {g.n} vertices takes {size} bytes, cap is "
@@ -61,8 +72,15 @@ def write_graph6(g: Graph) -> str:
     for u, v in g.edges:
         p = v * (v - 1) // 2 + u
         bits[p >> 3] |= 128 >> (p & 7)
-    body = binascii.b2a_base64(bits, newline=False)[:ngroups].translate(_B64_TO_G6)
-    return (_encode_size(g.n) + body).decode("ascii")
+    # each buffer goes once the next is made, so about two copies of
+    # the text are alive at once
+    body = binascii.b2a_base64(bits, newline=False)
+    del bits
+    body = body.translate(_B64_TO_G6)
+    text = bytearray(head)
+    text += memoryview(body)[:ngroups]
+    del body
+    return text.decode("ascii")
 
 
 def read_graph6(text: str) -> Graph:
@@ -118,18 +136,27 @@ def read_graph6(text: str) -> Graph:
         raise ParseError("nonzero padding bit", offset=len(data) - 1)
 
     bits = binascii.a2b_base64(b64[pos:] + b"A" * (-ngroups % 4))
-    # bit p = v(v-1)/2 + u of the stream is x_{u,v}; column v spans
-    # p in [start, start + v), and the walk moves v forward as p grows
+    # bit p = v(v-1)/2 + u of the stream is x_{u,v}
     edges = []
-    v, start = 1, 0
-    for hit in _NONZERO.finditer(bits):
-        i = hit.start()
-        for k in _SET_BITS[bits[i]]:
-            p = i << 3 | k
-            while p >= start + v:
-                start += v
-                v += 1
-            edges.append((p - start, v))
+    if n <= PAIR_TABLE_N:
+        # the padding is zero, so every set bit is a pair of the table
+        pairs = pair_table()
+        for hit in _NONZERO.finditer(bits):
+            i = hit.start()
+            for k in _SET_BITS[bits[i]]:
+                edges.append(pairs[i << 3 | k])
+    else:
+        # column v spans p in [start, start + v), and the walk moves v
+        # forward as p grows
+        v, start = 1, 0
+        for hit in _NONZERO.finditer(bits):
+            i = hit.start()
+            for k in _SET_BITS[bits[i]]:
+                p = i << 3 | k
+                while p >= start + v:
+                    start += v
+                    v += 1
+                edges.append((p - start, v))
     # valid and distinct by construction, so from_edges' checks are skipped
     return Graph(n=n, edges=tuple(sorted(edges)))
 

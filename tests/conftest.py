@@ -8,7 +8,8 @@ trying the whole list product.  Slow and obviously correct.
 The package keeps only what the command line and the certificate
 checker reach, so the test-only constructors and checks live here too:
 `complete_multipartite` lays a gadget out by its edges, `gadget_lists`
-assembles a copy's lists a second way from `build`, `check_coloring`
+assembles a copy's lists a second way from `build`, `naive_read_graph6`
+decodes graph6 one bit at a time, `check_coloring`
 checks a coloring against the edges and lists, and `hadwiger_number`
 runs `has_clique_minor` (not an independent oracle) for t = 2, 3, ...
 """
@@ -147,6 +148,22 @@ def random_lists(
         size = rng.randint(1, max_size)
         out.append(sorted(rng.sample(range(1, palette + 1), size)))
     return out
+
+
+def naive_read_graph6(text: str) -> Graph:
+    """Decode well-formed graph6 bit by bit, as the format describes it:
+    a size field of 1, 4 or 8 bytes, then the upper triangle column by
+    column, x_{0,1}, x_{0,2}, x_{1,2}, ..., six bits a byte."""
+    data = [b - 63 for b in text.strip().removeprefix(">>graph6<<").encode()]
+    if data[0] != 63:
+        n, pos = data[0], 1
+    elif data[1] != 63:
+        n, pos = (data[1] << 12) | (data[2] << 6) | data[3], 4
+    else:
+        n, pos = sum(b << (30 - 6 * i) for i, b in enumerate(data[2:8])), 8
+    bits = [b >> (5 - k) & 1 for b in data[pos:] for k in range(6)]
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    return Graph.from_edges(n, [e for e, bit in zip(pairs, bits) if bit])
 
 
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:

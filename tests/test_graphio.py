@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import random
 import tracemalloc
@@ -11,6 +13,7 @@ from unchoosable import (
     ResourceLimitError,
     read_adjacency_json,
     read_graph,
+    paste,
     read_graph6,
     write_adjacency_json,
     write_graph,
@@ -18,9 +21,9 @@ from unchoosable import (
 )
 
 from unchoosable import graphio
-from unchoosable.graphs import GRAPH6_BYTE_CAP, VERTEX_CAP
+from unchoosable.graphs import GRAPH6_BYTE_CAP, PAIR_TABLE_N, VERTEX_CAP, pair_table
 
-from conftest import forbid_adjacency_masks, random_graph
+from conftest import forbid_adjacency_masks, naive_read_graph6, random_graph
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -179,6 +182,105 @@ def test_graph6_codec_memory_is_linear_in_its_text():
             finally:
                 tracemalloc.stop()
             assert peak < 6 * len(text), (n, codec.__name__, peak, len(text))
+
+
+def test_graph6_reader_matches_a_bit_by_bit_decoder():
+    # n = 0..70 straddles the 62/63 boundary of the one-byte size field
+    # and of the pair table; each small n is also read from the 4-byte
+    # size form, which the reader accepts though no writer emits it
+    rng = random.Random(49)
+    for n in range(71):
+        for _ in range(4):
+            text = write_graph6(random_graph(rng, n, rng.random()))
+            assert read_graph6(text) == naive_read_graph6(text), n
+            if n <= 62:
+                long_form = "~??" + chr(63 + n) + text[1:]
+                assert read_graph6(long_form) == naive_read_graph6(text), n
+
+
+def _table_pair(e):
+    u, v = e
+    return pair_table()[v * (v - 1) // 2 + u] if v < PAIR_TABLE_N else None
+
+
+def _decoded_with_clique(rng: random.Random, n: int, clique: list) -> Graph:
+    g = random_graph(rng, n, 0.5)
+    g = Graph.from_edges(n, list(g.edges) + list(itertools.combinations(clique, 2)))
+    return read_graph6(write_graph6(g))
+
+
+def _paste_by_relabelling(g1, s1, g2, s2) -> Graph:
+    relabel = dict(zip(s2, s1))
+    rest = [v for v in range(g2.n) if v not in relabel]
+    relabel.update(zip(rest, range(g1.n, g1.n + len(rest))))
+    moved = [(relabel[u], relabel[v]) for u, v in g2.edges]
+    return Graph.from_edges(g1.n + len(rest), list(g1.edges) + moved)
+
+
+def test_small_graphs_hold_the_shared_pair_tuples():
+    pairs = pair_table()
+    assert PAIR_TABLE_N == 62
+    assert pairs == [(u, v) for v in range(62) for u in range(v)]
+    assert len(pairs) == 1891 and pair_table() is pairs
+    rng = random.Random(50)
+    for n in (2, 5, 31, 61, 62):
+        g = read_graph6(write_graph6(random_graph(rng, n, 0.5)))
+        assert g.m and all(e is _table_pair(e) for e in g.edges), n
+    # a paste of two decoded graphs equals the same paste relabelled by
+    # hand; with at most 62 vertices in all it holds only the table's
+    # pairs, and past that g2's relabelled edges are tuples of its own
+    for n1, n2, k in ((3, 3, 2), (7, 5, 3), (40, 25, 3), (31, 31, 0), (40, 26, 3)):
+        s1, s2 = rng.sample(range(n1), k), rng.sample(range(n2), k)
+        g1 = _decoded_with_clique(rng, n1, s1)
+        g2 = _decoded_with_clique(rng, n2, s2)
+        h = paste(g1, s1, g2, s2)
+        assert h == _paste_by_relabelling(g1, s1, g2, s2), (n1, n2, k)
+        shared = [e is _table_pair(e) for e in h.edges]
+        assert all(shared) if h.n <= PAIR_TABLE_N else not all(shared), (n1, n2, k)
+    # 63 vertices and up are read by the column walk, as before: equal
+    # edges, none of them the table's
+    path = Graph.from_edges(63, [(i, i + 1) for i in range(62)])
+    back = read_graph6(write_graph6(path))
+    assert back == path
+    assert not any(e is _table_pair(e) for e in back.edges)
+
+
+def test_small_decoded_graphs_keep_under_45_bytes_an_edge():
+    # each edge of a kept graph is a pointer into the shared pair table,
+    # not a tuple of its own (about 90 bytes an edge when each read made
+    # fresh tuples); the first read builds the table outside the trace
+    rng = random.Random(51)
+    texts = [
+        write_graph6(random_graph(rng, n, 0.5))
+        for n in (rng.randint(3, 7) for _ in range(2000))
+    ]
+    read_graph6(texts[0])
+    tracemalloc.start()
+    try:
+        kept = [read_graph6(text) for text in texts]
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    edges = sum(g.m for g in kept)
+    assert retained < 45 * edges, (retained, edges)
+
+
+def test_graph6_writer_peaks_under_two_and_a_half_times_its_text():
+    # the bit buffer, the base64 text and the joined bytes overlap at
+    # most two at a time; the text is byte for byte the earlier writer's
+    n = 10**4
+    path = Graph(n=n, edges=tuple((i, i + 1) for i in range(n - 1)))
+    tracemalloc.start()
+    try:
+        text = write_graph6(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 8_332_504
+    assert peak <= 2.5 * len(text), (peak, len(text))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bda38ac4c3342178dd3f649b17b7baa8bf9cbd6f41c7d43d1b7928a2511b2d05"
+    )
 
 
 def test_graph6_writer_refuses_text_past_its_cap(monkeypatch):

@@ -294,12 +294,14 @@ def test_solver_with_precoloring_matches_product_oracle():
 
 
 def test_odd_cycle_refuted_in_milliseconds():
+    # timed in CPU seconds of this process, which other processes' load
+    # does not add to
     g, la = cycle(99), uniform(99, 2, 2)
     times = []
     for _ in range(5):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         res = l_colorable(g, la)
-        times.append(time.perf_counter() - t0)
+        times.append(time.process_time() - t0)
     assert not res.colorable
     assert min(times) < 0.005, times
     assert res.backtracks == 196

@@ -4,7 +4,8 @@ its edges nor the q^r copies.  Each row is timed with the template
 cache cleared, so the gadget is laid out afresh, and the fitted log-log
 exponent must stay below 1.2: on 2 vCPU and Python 3.11 it is about 0.5
 for every case over t = 8..32, where laying out the gadget's edges made
-it about 1.6.
+it about 1.6.  Each row is timed in CPU seconds of this process, as
+below.
 
 Direct mode's degeneracy order must grow near-linearly in the graph's
 size: four times the vertices and edges may take at most eight times
@@ -39,10 +40,10 @@ def _verify_and_check(case: str, t: int) -> float:
     best = math.inf
     for _ in range(RUNS):
         gadget_template.cache_clear()
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         bundle = verify_construction(params, mode="compositional")
         res = check_certificate(json.loads(json.dumps(bundle)))
-        best = min(best, time.perf_counter() - t0)
+        best = min(best, time.process_time() - t0)
         assert res.ok, (case, t, res.reason)
     return best
 
