@@ -105,11 +105,10 @@ def _cmd_minor(args) -> int:
     g = read_graph(args.input)
     ans = has_clique_minor(g, args.target, timeout=args.timeout)
     if ans.contains:
-        doc = {"contains": True, "target": args.target}
-        doc.update(ans.witness.to_json_dict())
+        witness = ans.witness.to_json_dict()
+        doc = {"contains": True, "target": args.target, **witness}
         if args.witness:
-            out = {"kind": "branch-set-positive", **ans.witness.to_json_dict()}
-            write_json(args.witness, out)
+            write_json(args.witness, {"kind": "branch-set-positive", **witness})
         _emit(
             doc,
             f"contains a K_{args.target} minor: "

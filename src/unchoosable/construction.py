@@ -583,18 +583,18 @@ def verify_degeneracy(
     A root has at most r-1 later vertices at all, and r-1 <= q since
     q + 2 is 2r or 2r+1, so only copy vertices are counted, and only
     those whose rows are longer than q: a copy vertex's later
-    neighbours are its row's root prefix and the ids above it, found by
-    `bisect`.  Lower bound: the roots and copy 0, the ids below
+    neighbours are the entries of its row that are not copy ids below
+    its own.  Lower bound: the roots and copy 0, the ids below
     r + size, form a gadget, so each must have q neighbours among them.
     A failure raises ConstructionRefuted naming the vertex, its count
-    and q.  The check reads every row's length and a few entries of the
+    and q.  The check reads every row's length and the entries of the
     rows it counts, where the min-heap elimination of
     `graphs.degeneracy` visits every edge.
 
     A row out of order or with repeats cannot make either bound pass
-    falsely: a copy vertex's count falls back to its whole row unless
-    the entries taken as earlier are ids between r and its own, and the
-    lower bound counts distinct ids only."""
+    falsely: the upper bound counts entries, which are never fewer
+    than the distinct later neighbours in any row order, and the lower
+    bound counts distinct ids only."""
     q, r = params.q, params.r
     gadget = r + len(gadget_template(params).own)  # the roots and copy 0
     where = f"graph for case {params.case}, t={params.t}"
@@ -609,11 +609,9 @@ def verify_degeneracy(
     for v, row in enumerate(rows[r:], r):
         if len(row) <= q:
             continue
-        p = bisect_left(row, r)  # its root neighbours, all later than v
-        j = bisect_left(row, v, p)  # row[p:j]: the copy ids below v
-        later = len(row) - (j - p)
-        if j - p > 1 and not r <= min(row[p:j]) <= max(row[p:j]) < v:
-            later = len(row)
+        # every entry but the copy ids below v, so in any row order
+        # never fewer than v's distinct later neighbours
+        later = len(row) - sum(r <= u < v for u in row)
         if later > q:
             raise ConstructionRefuted(
                 f"{where} is not q-degenerate in the construction's order: "

@@ -11,12 +11,11 @@ times its text at once: the bit buffer goes once base64 has encoded
 it, and the translated body joins the size field in one `bytearray`
 that is decoded once.
 
-A graph of at most 62 vertices (`graphs.PAIR_TABLE_N`, the one-byte
-size field's limit) is read without a column walk: the bit at position
-p names the pair `graphs.pair_table()[p]`, and the graph keeps that
-shared tuple instead of a fresh one.  The first such read builds the
-table (1891 pairs, about 115 kB); a process that reads only larger
-graphs never does.  The adjacency-JSON format is
+The size field takes one of three forms, listed once in `_SIZE_FORMS`
+for both directions.  A set bit p below `len(graphs.pair_table())`,
+a pair (u, v) with v < 62, appends that table's shared tuple; only the
+bits past it walk columns.  The first read builds the table (1891
+pairs, about 115 kB).  The adjacency-JSON format is
 ``{"n": int, "edges": [[u,v], ...]}`` with edges sorted
 lexicographically; the reader ignores any other key.
 """
@@ -44,13 +43,17 @@ for _k in range(7, -1, -1):
     _SET_BITS += [(_k,) + bits for bits in _SET_BITS]
 
 
+# the size field's forms: (largest n, leading "~" bytes, 6-bit digits
+# of n, most significant first); a reader tells them apart by the
+# leading "~" bytes, as no form's first digit but the last's can be 63
+_SIZE_FORMS = ((62, 0, 1), (258047, 1, 3), (68719476735, 2, 6))
+
+
 def _encode_size(n: int) -> bytes:
-    if n <= 62:
-        return bytes([n + 63])
-    if n <= 258047:
-        return bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
-    if n <= 68719476735:
-        return bytes([126, 126] + [(n >> s & 63) + 63 for s in (30, 24, 18, 12, 6, 0)])
+    for top, tildes, digits in _SIZE_FORMS:
+        if n <= top:
+            shifts = range(6 * digits - 6, -1, -6)
+            return bytes([126] * tildes + [(n >> s & 63) + 63 for s in shifts])
     raise InvalidArgumentError(f"graph too large for graph6: n={n}")
 
 
@@ -103,24 +106,17 @@ def read_graph6(text: str) -> Graph:
     if bad >= 0:
         raise ParseError(f"invalid graph6 byte {data[bad]:#x}", offset=bad)
 
-    pos = 0
-    if data[0] != 126:
-        n = data[0] - 63
-        pos = 1
-    elif len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise ParseError("truncated graph6 size field", offset=len(data))
-        n = 0
-        for b in data[1:4]:
-            n = n << 6 | (b - 63)
-        pos = 4
-    else:
-        if len(data) < 8:
-            raise ParseError("truncated graph6 size field", offset=len(data))
-        n = 0
-        for b in data[2:8]:
-            n = n << 6 | (b - 63)
-        pos = 8
+    # the first form whose "~" bytes are not followed by another, else
+    # the last
+    for _, tildes, digits in _SIZE_FORMS:
+        if data[tildes:tildes + 1] != b"~":
+            break
+    pos = tildes + digits
+    if len(data) < pos:
+        raise ParseError("truncated graph6 size field", offset=len(data))
+    n = 0
+    for b in data[tildes:pos]:
+        n = n << 6 | (b - 63)
 
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6
@@ -136,23 +132,20 @@ def read_graph6(text: str) -> Graph:
         raise ParseError("nonzero padding bit", offset=len(data) - 1)
 
     bits = binascii.a2b_base64(b64[pos:] + b"A" * (-ngroups % 4))
-    # bit p = v(v-1)/2 + u of the stream is x_{u,v}
+    # bit p = v(v-1)/2 + u of the stream is x_{u,v}: the table holds
+    # the first columns, and column v >= PAIR_TABLE_N spans p in
+    # [start, start + v), walked forward as p grows
+    pairs = pair_table()
+    v = PAIR_TABLE_N
+    shared = start = len(pairs)
     edges = []
-    if n <= PAIR_TABLE_N:
-        # the padding is zero, so every set bit is a pair of the table
-        pairs = pair_table()
-        for hit in _NONZERO.finditer(bits):
-            i = hit.start()
-            for k in _SET_BITS[bits[i]]:
-                edges.append(pairs[i << 3 | k])
-    else:
-        # column v spans p in [start, start + v), and the walk moves v
-        # forward as p grows
-        v, start = 1, 0
-        for hit in _NONZERO.finditer(bits):
-            i = hit.start()
-            for k in _SET_BITS[bits[i]]:
-                p = i << 3 | k
+    for hit in _NONZERO.finditer(bits):
+        i = hit.start()
+        for k in _SET_BITS[bits[i]]:
+            p = i << 3 | k
+            if p < shared:
+                edges.append(pairs[p])
+            else:
                 while p >= start + v:
                     start += v
                     v += 1

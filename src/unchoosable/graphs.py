@@ -19,16 +19,14 @@ search kernels, `minors.has_clique_minor` and `listcolor.l_colorable`;
 they walk them through `union_over`, `reaches_all` and `components`
 here.
 
-A graph of at most 62 vertices that `graphio.read_graph6` decodes, or
-that `paste` makes from such graphs, holds no edge tuple of its own:
-each of its edges is the shared pair of `pair_table`, so a process
-that keeps many small graphs keeps their edges once.  62 is the most vertices graph6 writes in its
-one-byte size field, so the table is indexed by the graph6 bit
-position of each pair.  Its 1891 pairs, about 115 kB, are built on the
-first call, so a process that never makes a small graph never pays for
-them.  Larger graphs, `Graph.from_edges` and `construction.build` make
-their own tuples: no workload keeps many of them, and a table reaching
-a1's 195 vertices would hold 18 915 pairs.
+Every edge (u, v) with v < 62 that `graphio.read_graph6` decodes or
+`paste` relabels is the shared pair of `pair_table`, whatever the
+graph's size, so a process that keeps many graphs keeps those edges
+once.  62 is the most vertices graph6's one-byte size field holds.
+The table's 1891 pairs, about 115 kB, are built on the first read or
+paste.  Edges with v >= 62, and every edge of `Graph.from_edges` and
+`construction.build`, are tuples of their own: a table reaching a1's
+195 vertices would hold 18 915 pairs.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ VERTEX_CAP = 100_000
 # bytes (b2's 5188 vertices take 2.2 MB, about 14 200 vertices reach it)
 GRAPH6_BYTE_CAP = 1 << 24
 # the most vertices graph6's one-byte size field holds, and the bound on
-# the graphs whose edges are the shared tuples of `pair_table`
+# the pairs (u, v), v < PAIR_TABLE_N, that are shared tuples of `pair_table`
 PAIR_TABLE_N = 62
 _pair_table: list[Edge] | None = None
 
@@ -174,8 +172,8 @@ def paste(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequence[int]) -> Graph:
     g1's vertex ids are preserved; g2's remaining vertices are appended in
     ascending order of their original ids.  The identified set stays a
     clique and both originals survive as induced subgraphs.  g1's edge
-    tuples are kept; with at most PAIR_TABLE_N vertices in all, g2's
-    relabelled edges are `pair_table`'s.
+    tuples are kept; g2's relabelled edges (a, b) with b < PAIR_TABLE_N
+    are `pair_table`'s.
     """
     s1 = g1.check_vertices(s1)
     s2 = g2.check_vertices(s2)
@@ -196,14 +194,14 @@ def paste(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequence[int]) -> Graph:
             relabel[v] = fresh
             fresh += 1
 
-    pairs = pair_table() if fresh <= PAIR_TABLE_N else None
+    pairs = pair_table()
     for u, v in g2.edges:
         a, b = relabel[u], relabel[v]
         if a > b:
             a, b = b, a
         # identification cannot create loops (s2 is duplicate-free), and
         # duplicates are merged here
-        edges.add(pairs[b * (b - 1) // 2 + a] if pairs else (a, b))
+        edges.add(pairs[b * (b - 1) // 2 + a] if b < PAIR_TABLE_N else (a, b))
     # normalized, in range and loop-free already, so no from_edges pass
     return Graph(n=fresh, edges=tuple(sorted(edges)))
 

@@ -61,7 +61,9 @@ def _report(n: int, desc: str, fn) -> None:
 
 def test_criterion_1_case_b_t1_full_direct():
     def body():
-        t0 = time.monotonic()
+        # CPU seconds of this process, which other processes' load does
+        # not add to
+        t0 = time.process_time()
         pp = params_for("b", 1)
         g, la = build(pp)
         assert g.n == 10 == pp.r + pp.q**pp.r * (pp.q + 2 - pp.r)
@@ -71,7 +73,7 @@ def test_criterion_1_case_b_t1_full_direct():
         assert not l_colorable(g, la).colorable
         assert not oracle_list_colorable(g, la.lists)
         _bundle("b1", "b", 1, "direct")
-        assert time.monotonic() - t0 < 1.0
+        assert time.process_time() - t0 < 1.0
 
     _report(1, "case b t=1: 10 vertices, no K_4 minor, not 2-choosable", body)
 

@@ -118,6 +118,21 @@ def test_graph6_rejects_empty():
         read_graph6("")
 
 
+def test_graph6_size_field_forms():
+    # where each form ends: 1 byte up to 62, "~" and 3 digits up to
+    # 258047, "~~" and 6 digits past it (the bit-by-bit decoder test
+    # reads a small n in each form)
+    assert graphio._encode_size(62) == b"}"
+    assert graphio._encode_size(63) == b"~??~"
+    assert graphio._encode_size(258047) == b"~}~~"
+    assert graphio._encode_size(258048) == b"~~???~??"
+    # a field cut short is reported at the end of the input
+    for text in ("~", "~?", "~??", "~~", "~~????", "~~~~~~~"):
+        with pytest.raises(ParseError, match="truncated graph6 size field") as err:
+            read_graph6(text)
+        assert err.value.offset == len(text), text
+
+
 def test_graph6_every_size_class_matches_networkx():
     # n = 0..130 covers both size-field forms, the 62/63 boundary and
     # every value of nbits mod 6 (so every padding width) many times
@@ -185,17 +200,19 @@ def test_graph6_codec_memory_is_linear_in_its_text():
 
 
 def test_graph6_reader_matches_a_bit_by_bit_decoder():
-    # n = 0..70 straddles the 62/63 boundary of the one-byte size field
-    # and of the pair table; each small n is also read from the 4-byte
-    # size form, which the reader accepts though no writer emits it
+    # n = 0..70 straddles the 62/63 boundary of the one-byte size field;
+    # past 62 a graph's bits run on from the pair table into the column
+    # walk.  Each small n is also read from the 4-byte and 8-byte size
+    # forms, which the reader accepts though no writer emits them
     rng = random.Random(49)
     for n in range(71):
         for _ in range(4):
             text = write_graph6(random_graph(rng, n, rng.random()))
             assert read_graph6(text) == naive_read_graph6(text), n
             if n <= 62:
-                long_form = "~??" + chr(63 + n) + text[1:]
-                assert read_graph6(long_form) == naive_read_graph6(text), n
+                for long_form in ("~??", "~~?????"):
+                    long_text = long_form + chr(63 + n) + text[1:]
+                    assert read_graph6(long_text) == naive_read_graph6(text), n
 
 
 def _table_pair(e):
@@ -217,32 +234,36 @@ def _paste_by_relabelling(g1, s1, g2, s2) -> Graph:
     return Graph.from_edges(g1.n + len(rest), list(g1.edges) + moved)
 
 
+def _holds_shared_pairs_exactly_below_62(g: Graph) -> bool:
+    # the one sharing rule: an edge is the table's tuple iff v < 62
+    return all((e is _table_pair(e)) == (e[1] < PAIR_TABLE_N) for e in g.edges)
+
+
 def test_small_graphs_hold_the_shared_pair_tuples():
     pairs = pair_table()
     assert PAIR_TABLE_N == 62
     assert pairs == [(u, v) for v in range(62) for u in range(v)]
     assert len(pairs) == 1891 and pair_table() is pairs
     rng = random.Random(50)
-    for n in (2, 5, 31, 61, 62):
+    for n in (2, 5, 31, 61, 62, 63, 200):
         g = read_graph6(write_graph6(random_graph(rng, n, 0.5)))
-        assert g.m and all(e is _table_pair(e) for e in g.edges), n
+        assert g.m and _holds_shared_pairs_exactly_below_62(g), n
+    # a path of 63 vertices: its last edge (61, 62) is the only one of
+    # its own
+    path = Graph.from_edges(63, [(i, i + 1) for i in range(62)])
+    back = read_graph6(write_graph6(path))
+    assert back == path and _holds_shared_pairs_exactly_below_62(back)
     # a paste of two decoded graphs equals the same paste relabelled by
-    # hand; with at most 62 vertices in all it holds only the table's
-    # pairs, and past that g2's relabelled edges are tuples of its own
-    for n1, n2, k in ((3, 3, 2), (7, 5, 3), (40, 25, 3), (31, 31, 0), (40, 26, 3)):
+    # hand, and follows the same rule at any size
+    cases = ((3, 3, 2), (7, 5, 3), (40, 25, 3), (31, 31, 0), (40, 26, 3), (50, 50, 4))
+    for n1, n2, k in cases:
         s1, s2 = rng.sample(range(n1), k), rng.sample(range(n2), k)
         g1 = _decoded_with_clique(rng, n1, s1)
         g2 = _decoded_with_clique(rng, n2, s2)
         h = paste(g1, s1, g2, s2)
         assert h == _paste_by_relabelling(g1, s1, g2, s2), (n1, n2, k)
-        shared = [e is _table_pair(e) for e in h.edges]
-        assert all(shared) if h.n <= PAIR_TABLE_N else not all(shared), (n1, n2, k)
-    # 63 vertices and up are read by the column walk, as before: equal
-    # edges, none of them the table's
-    path = Graph.from_edges(63, [(i, i + 1) for i in range(62)])
-    back = read_graph6(write_graph6(path))
-    assert back == path
-    assert not any(e is _table_pair(e) for e in back.edges)
+        assert _holds_shared_pairs_exactly_below_62(h), (n1, n2, k)
+    assert h.n == 96 and any(v >= PAIR_TABLE_N for _, v in h.edges)
 
 
 def test_small_decoded_graphs_keep_under_45_bytes_an_edge():

@@ -353,9 +353,11 @@ def test_vertex_choice_does_not_scan_the_component():
     n = 20_000
     g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     la = uniform(n, 3, 3)
-    t0 = time.perf_counter()
+    # CPU seconds of this process, which other processes' load does
+    # not add to
+    t0 = time.process_time()
     res = l_colorable(g, la)
-    assert time.perf_counter() - t0 < 3.0
+    assert time.process_time() - t0 < 3.0
     assert res.colorable and check_coloring(g, la, res.coloring)
 
 
@@ -440,11 +442,12 @@ def test_blocked_part_is_met_before_its_colorable_siblings():
     )
     times = []
     for _ in range(3):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         res = l_colorable(g, la)
-        times.append(time.perf_counter() - t0)
+        times.append(time.process_time() - t0)
     assert not res.colorable and res.backtracks == 64
-    # about 0.15 s tightest first, 0.8 s or more in vertex order
+    # about 0.15 s tightest first, 0.8 s or more in vertex order, in CPU
+    # seconds of this process
     assert min(times) < 0.6, times
 
 
