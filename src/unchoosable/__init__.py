@@ -59,7 +59,6 @@ _EXPORTS = {
         "lower_bound_table",
         "params_for",
         "verify_construction",
-        "verify_degeneracy",
         "verify_minor_free",
         "verify_not_colorable",
     ),

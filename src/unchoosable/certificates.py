@@ -10,9 +10,10 @@ accepts only a document equal to the given one, field for field and
 type for type (`true` is not `1`, `1` is not `1.0`).  A pasting is the
 same in both modes, so its row is all the replay needs.  No check
 searches: a direct replay rebuilds the graph and checks the Hall
-obstruction on each gadget copy.  A bundle's manifest is compared with
-the manifest arithmetic first, so a bundle relabelled to another row is
-rejected without verifying that row.  Equal documents are accepted by
+obstruction on each gadget copy and the construction's degeneracy
+order.  A bundle's manifest is compared with the manifest arithmetic
+first, so a bundle relabelled to another row is rejected without
+verifying that row.  Equal documents are accepted by
 a type-exact comparison of their `marshal` bytes; otherwise one walk
 decides, and names the first differing path.  Nothing in the payload is
 trusted beyond the row and the mode, and this module knows no field of

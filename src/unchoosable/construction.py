@@ -36,12 +36,13 @@ blocked vacuously.  The gadget is kept only as its class map
 exactly when their classes differ.  Compositional mode reads the
 classes, so its gadget work is O(q + r): an independent set lies inside
 one class, and a clique meets each class at most once.  Direct mode
-lays each copy's edges out from the classes (`build`), then checks the
-same test for every proper root coloring on the materialized graph's
-lists and its sorted neighbour lists, one row per vertex with the
-roots 0..r-1 as the row's prefix.  From the same rows it certifies the
-graph q-degenerate by the construction's own order (copy ids r..n-1
-ascending, then the roots), never running a degeneracy elimination.
+lays each copy's edges out from the classes (`build`), and one checker,
+`_check_built`, reads the materialized graph's lists and its sorted
+neighbour lists, made once, one row per vertex with the roots 0..r-1
+as the row's prefix.  On those rows it makes the same test for every
+proper root coloring, then certifies the graph q-degenerate by the
+construction's own order (copy ids r..n-1 ascending, then the roots),
+never running a degeneracy elimination.
 `build` lays out the lists from their q+1 distinct tuples, shared by
 every vertex that has one: all copies' rows come from one product over
 the choices of each member of a copy, so no per-copy loop runs.
@@ -212,7 +213,7 @@ def _class_hall(
     that copy (`_w_list` for w_i, [1,q] for the apex) that no root
     adjacent to it holds; the copy is shut out when `own` is a clique
     keeping fewer colors than it has members.
-    Returns that verdict and the colors kept.  `_direct_blocked` makes
+    Returns that verdict and the colors kept.  `_check_built` makes
     the same test on a built graph's sorted neighbour rows.
 
     A set is a clique when no two members share a class, and a member
@@ -438,18 +439,14 @@ def verify_minor_free(params: ConstructionParams) -> dict:
 
 
 def verify_not_colorable(
-    params: ConstructionParams,
-    mode: str = "compositional",
-    built: tuple[Graph, ListAssignment] | None = None,
-    rows: Sequence[list[int]] | None = None,
+    params: ConstructionParams, mode: str = "compositional"
 ) -> dict:
     """Certify the pasted graph is not colorable from its lists: every
     proper root coloring is some vector, whose gadget copy cannot be
     completed.  Compositional mode decides one representative per class
     of `color_pattern_classes`, whose sizes must sum to q^r; direct mode
-    checks every copy of the materialized graph (`_direct_blocked`) on
-    its sorted neighbour lists, where the roots 0..r-1 are each row's
-    prefix.  `rows` are built's `neighbour_lists`, if already made."""
+    builds the graph and checks every copy of it, and its degeneracy
+    order, by `_check_built`."""
     if mode not in ("direct", "compositional"):
         raise InvalidArgumentError(f"unknown verification mode {mode!r}")
     q, r = params.q, params.r
@@ -457,16 +454,12 @@ def verify_not_colorable(
         kind="non-colorability", case=params.case, t=params.t, q=q, r=r, mode=mode
     )
     if mode == "direct":
-        g, la = built if built is not None else build(params)
-        if rows is None:
-            from .graphs import neighbour_lists
-
-            rows = neighbour_lists(g)
+        g, la = build(params)
         return {
             **head,
             "n": g.n,
             "palette_size": la.palette_size,
-            "blocked_copies": _direct_blocked(params, g, la, rows),
+            "blocked_copies": _check_built(params, g, la),
             "total_vectors": q**r,
         }
 
@@ -497,29 +490,51 @@ def verify_not_colorable(
     }
 
 
-def _direct_blocked(
-    params: ConstructionParams, g: Graph, la: ListAssignment, rows: Sequence[list[int]]
-) -> int:
-    """The Hall test of `_class_hall` on the materialized graph g, whose
-    `neighbour_lists` are `rows`: the roots 0..r-1 must be a clique,
-    each listing exactly [1,q], and each proper root coloring, of rank k
-    in `build`'s order of [1,q]^r, must be shut out by copy k, the ids
-    from r + k*size on.  The proper colorings are the r-permutations of
-    [1,q], walked in that same order, so the repeated vectors are never
-    generated.  Returns the copies checked, q!/(q-r)!.
+def _check_built(params: ConstructionParams, g: Graph, la: ListAssignment) -> int:
+    """Check the materialized graph g and its lists la on g's
+    `neighbour_lists`, made once: the Hall test of `_class_hall` on each
+    copy, then the construction's q-degeneracy order.  Returns the
+    copies checked, q!/(q-r)!; any failure raises ConstructionRefuted.
 
-    Every adjacency used is read off a row.  The rows ascend, so a
-    vertex's root neighbours are its row's prefix of ids in [0, r).
-    Root i's prefix must be the other roots.  A copy member loses the
-    colors of its root neighbours from its list, held as an int mask,
-    and the rest of its row must start with the copy's other ids, so
-    the copy is a clique.  A row out of order or with repeats, as a
-    `Graph` given unsorted or repeated edges has, can hide adjacency
-    from these tests but never invent it: a graph they accept has every
-    edge the proof uses."""
+    Hall test: the roots 0..r-1 must be a clique, each listing exactly
+    [1,q], and each proper root coloring, of rank k in `build`'s order
+    of [1,q]^r, must be shut out by copy k, the ids from r + k*size on.
+    The proper colorings are the r-permutations of [1,q], walked in that
+    same order, so the repeated vectors are never generated.  The rows
+    ascend, so a vertex's root neighbours are its row's prefix of ids in
+    [0, r).  Root i's prefix must be the other roots.  A copy member
+    loses the colors of its root neighbours from its list, held as an
+    int mask, and the rest of its row must start with the copy's other
+    ids, so the copy is a clique.
+
+    Degeneracy order: every list has size q, so q-degeneracy is what
+    makes the family tight against greedy coloring, and it is certified
+    by the construction's own order, not by computing one.  Upper bound:
+    in the order copy ids r..n-1 ascending, then roots 0..r-1 ascending,
+    no vertex may have more than q later neighbours.  A root has at most
+    r-1 later vertices at all, and r-1 <= q since q + 2 is 2r or 2r+1,
+    so only copy vertices are counted, and only those whose rows are
+    longer than q: a copy vertex's later neighbours are the entries of
+    its row that are not copy ids below its own.  Lower bound: the roots
+    and copy 0, the ids below r + size, form a gadget, so each must have
+    q neighbours among them.  This reads every row's length and the
+    entries of the rows it counts, where the min-heap elimination of
+    `graphs.degeneracy` visits every edge.
+
+    A row out of order or with repeats, as a `Graph` given unsorted or
+    repeated edges has, can hide adjacency from the Hall test but never
+    invent it, so a graph it accepts has every edge the proof uses.  Nor
+    can such a row make a degeneracy bound pass falsely: the upper bound
+    counts entries, never fewer than the distinct later neighbours in
+    any row order, and the lower bound counts distinct ids only."""
+    from .graphs import neighbour_lists
+
     q, r = params.q, params.r
     size = len(gadget_template(params).own)
-    if la.n != g.n or g.n < r or any(
+    if la.n != g.n:
+        raise ConstructionRefuted(f"{la.n} lists for the {g.n} vertices of the graph")
+    rows = neighbour_lists(g)
+    if g.n < r or any(
         rows[i][: r - 1] != [*range(i), *range(i + 1, r)] for i in range(r)
     ):
         raise ConstructionRefuted(f"roots 0..{r - 1} are not a clique of the graph")
@@ -566,46 +581,13 @@ def _direct_blocked(
                 vector=vec,
             )
         blocked += 1
-    return blocked
 
-
-def verify_degeneracy(
-    params: ConstructionParams, built: Graph, rows: Sequence[list[int]] | None = None
-) -> dict:
-    """Certify that `built` is exactly q-degenerate by the construction's
-    own order, not by computing one.  Every list in the construction
-    has size q, so q-degeneracy is what makes the family tight against
-    greedy coloring.  `rows` are built's sorted `neighbour_lists`, if
-    already made.
-
-    Upper bound: in the order copy ids r..n-1 ascending, then roots
-    0..r-1 ascending, no vertex may have more than q later neighbours.
-    A root has at most r-1 later vertices at all, and r-1 <= q since
-    q + 2 is 2r or 2r+1, so only copy vertices are counted, and only
-    those whose rows are longer than q: a copy vertex's later
-    neighbours are the entries of its row that are not copy ids below
-    its own.  Lower bound: the roots and copy 0, the ids below
-    r + size, form a gadget, so each must have q neighbours among them.
-    A failure raises ConstructionRefuted naming the vertex, its count
-    and q.  The check reads every row's length and the entries of the
-    rows it counts, where the min-heap elimination of
-    `graphs.degeneracy` visits every edge.
-
-    A row out of order or with repeats cannot make either bound pass
-    falsely: the upper bound counts entries, which are never fewer
-    than the distinct later neighbours in any row order, and the lower
-    bound counts distinct ids only."""
-    q, r = params.q, params.r
-    gadget = r + len(gadget_template(params).own)  # the roots and copy 0
+    gadget = r + size  # the roots and copy 0
     where = f"graph for case {params.case}, t={params.t}"
-    if built.n < gadget:
+    if g.n < gadget:
         raise ConstructionRefuted(
-            f"{where} has {built.n} vertices, fewer than its roots and copy 0"
+            f"{where} has {g.n} vertices, fewer than its roots and copy 0"
         )
-    if rows is None:
-        from .graphs import neighbour_lists
-
-        rows = neighbour_lists(built)
     for v, row in enumerate(rows[r:], r):
         if len(row) <= q:
             continue
@@ -617,8 +599,7 @@ def verify_degeneracy(
                 f"{where} is not q-degenerate in the construction's order: "
                 f"vertex {v} has {later} later neighbours, above q={q}"
             )
-    for v in range(gadget):
-        row = rows[v]
+    for v, row in enumerate(rows[:gadget]):
         inner = {u for u in row[: bisect_left(row, gadget)] if u < gadget}
         inner.discard(v)
         if len(inner) < q:
@@ -626,7 +607,7 @@ def verify_degeneracy(
                 f"{where} has degeneracy below q: vertex {v} of the roots and "
                 f"copy 0 has {len(inner)} neighbours among them, fewer than q={q}"
             )
-    return {"degeneracy": q, "bound": q}
+    return blocked
 
 
 def verify_construction(
@@ -634,26 +615,19 @@ def verify_construction(
 ) -> dict:
     """Full pipeline: minor-freeness plus non-colorability, bundled with
     the instance manifest.  Direct mode materializes the graph (subject
-    to VERTEX_CAP) and adds the check of its degeneracy order; both read
-    the graph's `neighbour_lists`, made once: one ascending row per
-    vertex, with the roots 0..r-1 as each row's prefix.  Every step is counted or
-    checked, none searched, so no step takes a time budget."""
-    built = rows = None
-    if mode == "direct":
-        from .graphs import neighbour_lists
-
-        built = build(params)
-        rows = neighbour_lists(built[0])
+    to VERTEX_CAP), and `_check_built` checks on its `neighbour_lists`,
+    made once, both the Hall obstruction of every copy and the
+    construction's q-degeneracy order, which the bundle then states.
+    Every step is counted or checked, none searched, so no step takes a
+    time budget."""
+    direct = mode == "direct"
     bundle = {
         "kind": "construction-verified",
-        "manifest": build_stats(params).manifest("full" if built else "stats-only"),
-        "children": [
-            verify_minor_free(params),
-            verify_not_colorable(params, mode=mode, built=built, rows=rows),
-        ],
+        "manifest": build_stats(params).manifest("full" if direct else "stats-only"),
+        "children": [verify_minor_free(params), verify_not_colorable(params, mode)],
     }
-    if built:
-        bundle["degeneracy"] = verify_degeneracy(params, built[0], rows)
+    if direct:
+        bundle["degeneracy"] = {"degeneracy": params.q, "bound": params.q}
     return bundle
 
 

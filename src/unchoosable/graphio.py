@@ -88,23 +88,26 @@ def write_graph6(g: Graph) -> str:
 
 def read_graph6(text: str) -> Graph:
     """Parse one graph6 string (optional >>graph6<< header, surrounding
-    whitespace tolerated).  Raises ParseError with the byte offset of the
-    first offending byte."""
+    whitespace tolerated).  Raises ParseError with the offset of the
+    first offending byte, counted from the start of `text`."""
     s = text.strip()
+    # offsets below are into s; `at` moves them back into text
+    at = len(text) - len(text.lstrip())
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
+        at += len(GRAPH6_HEADER)
     try:
         data = s.encode("ascii")
     except UnicodeEncodeError as e:
         raise ParseError(
-            f"non-ASCII character U+{ord(s[e.start]):04X}", offset=e.start
+            f"non-ASCII character U+{ord(s[e.start]):04X}", offset=at + e.start
         ) from None
     if not data:
-        raise ParseError("empty graph6 input", offset=0)
+        raise ParseError("empty graph6 input", offset=at)
     b64 = data.translate(_G6_TO_B64)
     bad = b64.find(0)
     if bad >= 0:
-        raise ParseError(f"invalid graph6 byte {data[bad]:#x}", offset=bad)
+        raise ParseError(f"invalid graph6 byte {data[bad]:#x}", offset=at + bad)
 
     # the first form whose "~" bytes are not followed by another, else
     # the last
@@ -113,7 +116,7 @@ def read_graph6(text: str) -> Graph:
             break
     pos = tildes + digits
     if len(data) < pos:
-        raise ParseError("truncated graph6 size field", offset=len(data))
+        raise ParseError("truncated graph6 size field", offset=at + len(data))
     n = 0
     for b in data[tildes:pos]:
         n = n << 6 | (b - 63)
@@ -123,13 +126,15 @@ def read_graph6(text: str) -> Graph:
     if len(data) - pos < ngroups:
         raise ParseError(
             f"truncated graph6 edge data: need {ngroups} bytes, have {len(data) - pos}",
-            offset=len(data),
+            offset=at + len(data),
         )
     if len(data) - pos > ngroups:
-        raise ParseError("trailing bytes after graph6 edge data", offset=pos + ngroups)
+        raise ParseError(
+            "trailing bytes after graph6 edge data", offset=at + pos + ngroups
+        )
     # only the last group is padded, with its low -nbits % 6 bits
     if (data[-1] - 63) & ((1 << (-nbits % 6)) - 1):
-        raise ParseError("nonzero padding bit", offset=len(data) - 1)
+        raise ParseError("nonzero padding bit", offset=at + len(data) - 1)
 
     bits = binascii.a2b_base64(b64[pos:] + b"A" * (-ngroups % 4))
     # bit p = v(v-1)/2 + u of the stream is x_{u,v}: the table holds

@@ -10,8 +10,9 @@ A vertex's neighbours are one ascending list, read off the sorted edges
 by `neighbour_lists` in O(n+m).  The lowest ids lead every row, so in a
 built construction, whose roots are ids 0..r-1, the roots a vertex meets
 are its row's prefix.  `degeneracy` reads these rows, and so does
-direct verify, which checks the construction's own degeneracy order on
-them instead of running `degeneracy`.
+direct verify, once per verify: `construction._check_built` checks on
+them both the Hall test of every copy and the construction's own
+degeneracy order, instead of running `degeneracy`.
 
 A vertex set is an int mask, bit v for vertex v.  `adjacency_masks`
 builds a graph's masks, n²/16 bytes, and is called only by the two

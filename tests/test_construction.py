@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import math
 import random
 
 import networkx as nx
@@ -28,7 +29,6 @@ from unchoosable import (
     params_for,
     paste,
     verify_construction,
-    verify_degeneracy,
     verify_minor_free,
     verify_not_colorable,
 )
@@ -579,18 +579,33 @@ def test_compositional_verify_and_check_lay_out_no_edges(monkeypatch):
 
 
 def test_direct_verify_builds_the_graph_neighbour_lists_once(monkeypatch):
-    # the Hall test and the degeneracy order share one list per vertex
-    sizes = []
+    # the Hall test and the degeneracy order share one list per vertex,
+    # in a verify, in its replay and in the replay of its
+    # non-colorability child given alone
+    builds, sizes = [], []
+    real = construction.build
+
+    def counted_build(params):
+        builds.append(params)
+        return real(params)
 
     def counted(g):
         sizes.append(g.n)
         return neighbour_lists(g)
 
+    monkeypatch.setattr(construction, "build", counted_build)
     monkeypatch.setattr(graphs, "neighbour_lists", counted)
     pp = params_for("a", 1)
+    n = build_stats(pp).n_vertices
     bundle = verify_construction(pp, mode="direct")
-    assert sizes.count(build_stats(pp).n_vertices) == 1
-    g, _ = build(pp)
+    assert builds == [pp] and sizes == [n]
+    for doc in (bundle, bundle["children"][1]):
+        builds.clear()
+        sizes.clear()
+        res = check_certificate(json.loads(json.dumps(doc)))
+        assert res.ok, res.reason
+        assert builds == [pp] and sizes == [n], doc["kind"]
+    g, _ = real(pp)
     assert bundle["degeneracy"]["degeneracy"] == graphs.degeneracy(g).degeneracy
 
 
@@ -645,7 +660,19 @@ def test_verify_not_colorable_direct_refutes_generous_lists():
     generous = ListAssignment.from_lists(3, [range(1, 4)] * g.n)
     assert l_colorable(g, generous).colorable
     with pytest.raises(ConstructionRefuted):
-        verify_not_colorable(pp, mode="direct", built=(g, generous))
+        construction._check_built(pp, g, generous)
+
+
+def test_direct_refutes_lists_and_graph_of_different_sizes():
+    # one list short or one over: not the roots' fault, so both counts
+    # are named
+    pp = params_for("b", 1)
+    g, la = build(pp)
+    for lists, n in ((la.lists[:-1], 9), (la.lists + la.lists[-1:], 11)):
+        with pytest.raises(
+            ConstructionRefuted, match=rf"^{n} lists for the 10 vertices of the graph$"
+        ):
+            construction._check_built(pp, g, ListAssignment(la.palette_size, lists))
 
 
 def _copy_of(pp, vec) -> range:
@@ -671,12 +698,12 @@ def test_direct_refutes_a_copy_missing_an_edge():
     assert torn.m == g.m - 1
     assert l_colorable(torn, la).colorable  # w1 = w2 = 3 under roots (1, 2)
     with pytest.raises(ConstructionRefuted, match=r"copy 1 .*\(1, 2\)") as err:
-        verify_not_colorable(pp, mode="direct", built=(torn, la))
+        construction._check_built(pp, torn, la)
     assert err.value.vector == (1, 2)
     # a missing root edge leaves repeated root colors unblocked
     loose = Graph.from_edges(g.n, [e for e in g.edges if e != (0, 1)])
     with pytest.raises(ConstructionRefuted, match="not a clique"):
-        verify_not_colorable(pp, mode="direct", built=(loose, la))
+        construction._check_built(pp, loose, la)
 
 
 def _swapped(g, old, new) -> Graph:
@@ -698,14 +725,14 @@ def test_direct_refutes_a_missing_edge_hidden_by_a_repeat():
     torn = _swapped(g, (w1, w2), (0, w2))
     assert torn.m == g.m and l_colorable(torn, la).colorable
     with pytest.raises(ConstructionRefuted, match=r"copy 1 .*\(1, 2\)") as err:
-        verify_not_colorable(pp, mode="direct", built=(torn, la))
+        construction._check_built(pp, torn, la)
     assert err.value.vector == (1, 2)
     # root 0's edge into copy 0 in place of the root edge: the proof,
     # which blocks repeated root colors by that edge, no longer holds
     loose = _swapped(g, (0, 1), (0, w1 - 1))
     assert loose.m == g.m
     with pytest.raises(ConstructionRefuted, match="not a clique"):
-        verify_not_colorable(pp, mode="direct", built=(loose, la))
+        construction._check_built(pp, loose, la)
 
 
 def test_direct_refutes_a_root_color_outside_the_copies():
@@ -717,7 +744,7 @@ def test_direct_refutes_a_root_color_outside_the_copies():
         g, la = build(pp)
         wider = _with_lists(la, {pp.r - 1: range(1, pp.q + 2)})
         with pytest.raises(ConstructionRefuted, match="no gadget copy"):
-            verify_not_colorable(pp, mode="direct", built=(g, wider))
+            construction._check_built(pp, g, wider)
 
 
 def test_direct_refutes_a_root_list_missing_a_color():
@@ -730,7 +757,7 @@ def test_direct_refutes_a_root_list_missing_a_color():
         narrower = _with_lists(la, {0: range(2, pp.q + 1)})
         want = rf"root 0 lists .*not \[1,{pp.q}\]"
         with pytest.raises(ConstructionRefuted, match=want):
-            verify_not_colorable(pp, mode="direct", built=(g, narrower))
+            construction._check_built(pp, g, narrower)
 
 
 def test_direct_refutes_a_w_list_given_back_its_color():
@@ -742,7 +769,7 @@ def test_direct_refutes_a_w_list_given_back_its_color():
         assert 1 not in la.lists[w1]
         healed = _with_lists(la, {w1: range(1, pp.q + 2)})
         with pytest.raises(ConstructionRefuted, match="keeps colors") as err:
-            verify_not_colorable(pp, mode="direct", built=(g, healed))
+            construction._check_built(pp, g, healed)
         assert err.value.vector == vec
 
 
@@ -783,29 +810,29 @@ def test_verify_construction_refutes_degeneracy_above_q(monkeypatch):
 
 def _a1_with(add=(), drop=()):
     pp = params_for("a", 1)
-    g, _ = build(pp)
+    g, la = build(pp)
     edges = set(g.edges).union(add).difference(drop)
-    return pp, Graph.from_edges(g.n, edges)
+    return pp, Graph.from_edges(g.n, edges), la
 
 
-def test_verify_degeneracy_refutes_what_the_order_rules_out():
+def test_order_check_refutes_what_the_order_rules_out():
     # (0, 3) is (v_0, w_0) of copy 0: the heap still finds degeneracy
     # 4 = q, yet the graph has a K_5 minor, and vertex 3 gets a fifth
     # later neighbour in the construction's order
-    pp, g = _a1_with(add=[(0, 3)])
+    pp, g, la = _a1_with(add=[(0, 3)])
     assert graphs.degeneracy(g).degeneracy == pp.q
     assert has_clique_minor(g, pp.p).contains
     with pytest.raises(
         ConstructionRefuted, match=r"vertex 3 has 5 later neighbours, above q=4"
     ):
-        verify_degeneracy(pp, g)
+        construction._check_built(pp, g, la)
     # without the root edge (0, 4) of copy 0, root 0 has three
     # neighbours among the roots and copy 0, so they are no gadget
-    pp, g = _a1_with(drop=[(0, 4)])
+    pp, g, la = _a1_with(drop=[(0, 4)])
     with pytest.raises(
         ConstructionRefuted, match=r"vertex 0 of the roots and copy 0 has 3 neighbours"
     ):
-        verify_degeneracy(pp, g)
+        construction._check_built(pp, g, la)
 
 
 def test_verify_not_colorable_refutes_uncovered_vectors(monkeypatch):
@@ -818,41 +845,41 @@ def test_verify_not_colorable_refutes_uncovered_vectors(monkeypatch):
         cons.verify_construction(params_for("a", 1), mode="compositional")
 
 
-def test_verify_degeneracy_is_not_fooled_by_unsorted_or_repeated_rows():
+def test_order_check_is_not_fooled_by_unsorted_or_repeated_rows():
     # Graph(n, edges) keeps edges as given, so rows can come out of
     # order or repeat a vertex.  Vertex 5 of a1, w_2 of copy 0, given
     # later neighbours 100..102 in this row order: a bisect alone takes
     # [3, 100, 4] as its earlier ids and counts 4 later neighbours; the
     # count by value takes 3 and 4 and finds the true 5.
     pp = params_for("a", 1)
-    g, _ = build(pp)
+    g, la = build(pp)
     mine = [(0, 5), (1, 5), (3, 5), (5, 100), (4, 5), (5, 101), (5, 102)]
     h = Graph(g.n, tuple(e for e in g.edges if 5 not in e) + tuple(mine))
     assert neighbour_lists(h)[5] == [0, 1, 3, 100, 4, 101, 102]
     with pytest.raises(ConstructionRefuted, match="vertex 5 has 5 later neighbours"):
-        verify_degeneracy(pp, h)
+        construction._check_built(pp, h, la)
     # root edge (0, 4) of copy 0 replaced by a repeat of (0, 5): root 0's
     # row still has four entries among the roots and copy 0, three distinct
     h = Graph(g.n, tuple(sorted([e for e in g.edges if e != (0, 4)] + [(0, 5)])))
     with pytest.raises(
         ConstructionRefuted, match=r"vertex 0 of the roots and copy 0 has 3 neighbours"
     ):
-        verify_degeneracy(pp, h)
+        construction._check_built(pp, h, la)
 
 
-def test_verify_degeneracy_values():
-    # the order check states q; the heap of graphs.degeneracy must agree
+def test_order_check_values():
+    # the order check accepts each row as q-degenerate, as the bundle
+    # states; the heap of graphs.degeneracy must agree
     for row in ("a1", "b1", "c1", "c2", "b2"):
         pp = params_for(row[0], int(row[1:]))
-        g, _ = build(pp)
-        res = verify_degeneracy(pp, g)
-        assert res == {"degeneracy": pp.q, "bound": pp.q}, row
-        assert res["degeneracy"] == graphs.degeneracy(g).degeneracy, row
+        g, la = build(pp)
+        assert construction._check_built(pp, g, la) == math.perm(pp.q, pp.r), row
+        assert graphs.degeneracy(g).degeneracy == pp.q, row
     # (5, 6) joins the last vertex of copy 0 to the first of copy 1: each
     # keeps at most q later neighbours, so the order check refutes only
     # what the order rules out
-    pp, g = _a1_with(add=[(5, 6)])
-    assert verify_degeneracy(pp, g) == {"degeneracy": 4, "bound": 4}
+    pp, g, la = _a1_with(add=[(5, 6)])
+    assert construction._check_built(pp, g, la) == math.perm(4, 3)
     assert graphs.degeneracy(g).degeneracy == 4
 
 

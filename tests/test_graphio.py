@@ -175,6 +175,15 @@ def test_graph6_bad_byte_reported_at_its_offset():
             with pytest.raises(ParseError, match="invalid graph6 byte") as err:
                 read_graph6(text[:offset] + chr(bad) + text[offset + 1:])
             assert err.value.offset == offset, (offset, bad)
+    # offsets count from the start of the text given, past leading
+    # whitespace and the header
+    for lead in ("  ", ">>graph6<<", " \n>>graph6<<"):
+        with pytest.raises(ParseError, match="invalid graph6 byte") as err:
+            read_graph6(lead + "A!")
+        assert err.value.offset == len(lead) + 1, lead
+        with pytest.raises(ParseError, match="truncated graph6 edge") as err:
+            read_graph6(lead + text[:-1] + "\n")
+        assert err.value.offset == len(lead) + len(text) - 1, lead
 
 
 def test_graph6_writer_builds_no_adjacency_masks(monkeypatch):

@@ -259,7 +259,7 @@ def test_direct_search_tree_is_pinned(case, t):
     want = DIRECT_CERTIFICATES[case, t]
     res = l_colorable(g, la)
     assert not res.colorable and res.backtracks == want["backtracks"]
-    cert = verify_not_colorable(pp, mode="direct", built=(g, la))
+    cert = verify_not_colorable(pp, mode="direct")
     assert json.dumps(cert) == json.dumps(
         {
             "kind": "non-colorability",
